@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,13 +27,6 @@ def _fail(msg: str, **extra) -> int:
     doc.update(extra)
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
     return 1
-
-
-def _apply_threads(n: int | None):
-    n = n or os.environ.get("GAUGELATT_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def cmd_butterfly(args) -> int:
@@ -79,7 +71,7 @@ def cmd_ground(args) -> int:
     }
     c_nums, purs, overlaps = [], [], []
     sub = None
-    if nu == Fraction(1, 2) and args.n <= 2:
+    if nu == Fraction(1, 2):
         sub = laughlin.laughlin_lattice_states(args.n, alpha, geom)
     for s in states[:2]:
         rho = manybody.motional_density_matrix(s)
@@ -168,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic gauge fields in a state-dependent optical "
                     "lattice: spectra, few-boson ground states, trap design "
                     "and beam-array synthesis.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker parallelism (also GAUGELATT_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("butterfly", help="Hofstadter scan over rational fluxes")
@@ -226,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, ZeroDivisionError) as exc:

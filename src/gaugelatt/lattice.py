@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,13 +111,11 @@ class LinkField:
     theta_x[j, k] is the phase on the x-bond (j,k)->(j+1,k).  On a torus
     theta_x has Lx rows (row Lx-1 is the wrap bond); on an open lattice it
     has Lx-1 rows.  boundary_twist_y[j] is the phase on the y-wrap bond
-    (j,Ly-1)->(j,0); it is all-zero for open boundaries.  theta_x2, when
-    present, holds second-neighbor x-bond phases (j,k)->(j+2,k).
+    (j,Ly-1)->(j,0); it is all-zero for open boundaries.
     """
 
     theta_x: np.ndarray
     boundary_twist_y: np.ndarray
-    theta_x2: np.ndarray | None = None
 
     def __post_init__(self):
         tx = np.asarray(self.theta_x, dtype=float)
@@ -127,19 +124,6 @@ class LinkField:
             raise ValueError("link field contains non-finite entries")
         object.__setattr__(self, "theta_x", _canonical(tx))
         object.__setattr__(self, "boundary_twist_y", _canonical(tw))
-        if self.theta_x2 is not None:
-            t2 = np.asarray(self.theta_x2, dtype=float)
-            if not np.all(np.isfinite(t2)):
-                raise ValueError("second-neighbor link field non-finite")
-            object.__setattr__(self, "theta_x2", _canonical(t2))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "k", "theta_x"])
-            for j in range(self.theta_x.shape[0]):
-                for k in range(self.theta_x.shape[1]):
-                    writer.writerow([j, k, f"{self.theta_x[j, k]:.12g}"])
 
 
 @dataclass(frozen=True)
@@ -209,6 +193,8 @@ def links_from_vector_potential(
     v: VectorPotentialField, geom: LatticeGeometry
 ) -> LinkField:
     """Line-integrate A along each x-bond: theta = 2*pi * int A(x, y_k) dx."""
+    from scipy.integrate import quad  # slow to import; only needed here
+
     n_rows = geom.Lx if geom.is_torus else geom.Lx - 1
     theta = np.empty((n_rows, geom.Ly))
     for j in range(n_rows):

@@ -12,7 +12,8 @@ import numpy as np
 
 from .lattice import LatticeGeometry
 from .manybody import (FockBasis, MotionalDensityMatrix, build_fock_basis,
-                       subspace_overlap, symmetric_fock_to_product)
+                       product_to_symmetric_fock, subspace_overlap,
+                       symmetric_fock_to_product)
 
 
 @dataclass(frozen=True)
@@ -26,27 +27,28 @@ class ThetaParams:
             raise ValueError("modular parameter must have positive imaginary part")
 
 
-def theta_with_characteristics(z: complex, params: ThetaParams,
-                               tol: float = 1e-14) -> complex:
+def theta_with_characteristics(z, params: ThetaParams, tol: float = 1e-14):
     """theta[a,b](z | tau) = sum_n exp(i pi tau (n+a)^2 + 2i (n+a)(z + pi b)).
 
-    The sum window is centered on the dominant term and sized so the
-    truncation error is below `tol` relative to the peak term.
+    Elementwise over an array z; a scalar z gives a complex.  Each sum
+    window is centered on its dominant term and sized so the truncation
+    error is below `tol` relative to the peak term.
     """
     tau, a, b = params.tau, params.a, params.b
+    z = np.asarray(z, dtype=complex)
     im_tau = tau.imag
     # |term(n)| ~ exp(-pi im_tau (n+a)^2 - 2 (n+a) Im z); peak at
     # n+a = -Im z / (pi im_tau)
     center = -z.imag / (math.pi * im_tau) - a
     width = math.sqrt(max(-math.log(tol * 1e-3), 1.0) / (math.pi * im_tau)) + 2.0
-    n_lo = int(math.floor(center - width))
-    n_hi = int(math.ceil(center + width))
-    n = np.arange(n_lo, n_hi + 1, dtype=float) + a
-    expo = 1j * math.pi * tau * n * n + 2j * n * (z + math.pi * b)
-    return complex(np.sum(np.exp(expo)))
+    n_lo = np.floor(center - width)
+    n = n_lo[..., None] + np.arange(math.ceil(2.0 * width) + 2) + a
+    expo = 1j * math.pi * tau * n * n + 2j * n * (z[..., None] + math.pi * b)
+    out = np.sum(np.exp(expo), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
-def theta1(z: complex, tau: complex, tol: float = 1e-14) -> complex:
+def theta1(z, tau: complex, tol: float = 1e-14):
     """Odd Jacobi theta function; vanishes linearly at the lattice of periods."""
     return -theta_with_characteristics(z, ThetaParams(tau=tau, a=0.5, b=0.5), tol)
 
@@ -101,30 +103,21 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
 
     basis = build_fock_basis(geom.n_sites, N)
     # site index s = j*Ly + k -> position (j, k) * r0
-    pos = np.empty(geom.n_sites, dtype=complex)
-    ys = np.empty(geom.n_sites)
-    for j in range(geom.Lx):
-        for k in range(geom.Ly):
-            pos[j * geom.Ly + k] = (j + 1j * k) * r0
-            ys[j * geom.Ly + k] = k * r0
+    j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
+    zs = ((j + 1j * k) * r0)[basis.modes]
+    ys = (k * r0)[basis.modes]
+    p, q = np.triu_indices(N, 1)
+    relative = np.prod(theta1(math.pi * (zs[:, p] - zs[:, q]) / L1, tau) ** m,
+                       axis=1)
+    gauss = np.exp(-np.sum(ys ** 2, axis=1) / (2.0 * ell2))
+    # bosonic normalization sqrt(N! / prod n_x!)
+    weight = relative * gauss * np.sqrt(basis.arrangements())
 
     vectors = []
     for s in range(2):
         com = ThetaParams(tau=m * tau, a=_COM_A[s], b=_COM_B)
-        amps = np.empty(basis.size, dtype=complex)
-        for i, modes in enumerate(basis.states):
-            zs = pos[list(modes)]
-            val = theta_with_characteristics(
-                m * math.pi * zs.sum() / L1, com)
-            for p in range(N):
-                for q_ in range(p + 1, N):
-                    val *= theta1(math.pi * (zs[p] - zs[q_]) / L1, tau) ** m
-            gauss = math.exp(-float(np.sum(ys[list(modes)] ** 2)) / (2.0 * ell2))
-            # bosonic normalization sqrt(N! / prod n_x!)
-            mult = math.factorial(N)
-            for mo in set(modes):
-                mult //= math.factorial(modes.count(mo))
-            amps[i] = val * gauss * math.sqrt(mult)
+        amps = theta_with_characteristics(m * math.pi * zs.sum(axis=1) / L1,
+                                          com) * weight
         if _CONJUGATE:
             amps = np.conj(amps)
         amps /= np.linalg.norm(amps)
@@ -178,24 +171,9 @@ def magnetic_translation_x(geom: LatticeGeometry, alpha: Fraction,
 
 def apply_one_body_unitary(U: np.ndarray, vec: np.ndarray,
                            basis: FockBasis) -> np.ndarray:
-    """Apply a one-body unitary to an N-boson Fock vector (N <= 2)."""
-    psi = symmetric_fock_to_product(vec, basis)
-    M, N = basis.M, basis.N
-    if N == 1:
-        out_fq = U @ psi
-    elif N == 2:
-        out_fq = (np.kron(U, U) @ psi)
-    else:
-        raise NotImplementedError("supported for N <= 2")
-    out = np.empty(basis.size, dtype=complex)
-    if N == 1:
-        for i, (m,) in enumerate(basis.states):
-            out[i] = out_fq[m]
-    else:
-        grid = out_fq.reshape(M, M)
-        for i, (m1, m2) in enumerate(basis.states):
-            if m1 == m2:
-                out[i] = grid[m1, m2]
-            else:
-                out[i] = (grid[m1, m2] + grid[m2, m1]) / math.sqrt(2.0)
-    return out
+    """Apply a one-body unitary to an N-boson Fock vector: U on every
+    particle axis of the first-quantized wavefunction."""
+    psi = symmetric_fock_to_product(vec, basis).reshape((basis.M,) * basis.N)
+    for axis in range(basis.N):
+        psi = np.moveaxis(np.tensordot(U, psi, axes=(1, axis)), 0, axis)
+    return product_to_symmetric_fock(psi, basis)

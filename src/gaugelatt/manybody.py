@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,29 +18,65 @@ from .singleparticle import ModelParams, build_bilayer_hamiltonian
 DEFAULT_DIM_CAP = 20_000_000
 
 
-@dataclass(frozen=True)
+def _pack(modes: np.ndarray, M: int) -> np.ndarray:
+    """Base-M number sum_i modes[..., i] M^(N-1-i) of each mode list: the
+    flat index into the M^N product space, increasing with the
+    lexicographic order of the lists."""
+    modes = np.asarray(modes)
+    key = np.zeros(modes.shape[:-1], dtype=np.int64)
+    for p in range(modes.shape[-1]):
+        key = key * M + modes[..., p]
+    return key
+
+
+def _ragged_arange(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(start[i], start[i] + count[i]) over i."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start,
+                                              count)
+
+
+@dataclass(frozen=True, eq=False)
 class FockBasis:
     """Ordered N-boson occupation basis over M modes.
 
-    States are stored as nondecreasing tuples of occupied mode indices
-    (equivalent to occupation vectors); the ordering is lexicographic in
-    these tuples, i.e. (2,0,...,0) comes first.
+    Row i of `modes` lists the modes occupied by state i, in nondecreasing
+    order and repeated by occupation.  Rows are in lexicographic order,
+    i.e. (0, ..., 0), all bosons in mode 0, comes first.
     """
 
     M: int
     N: int
-    states: tuple
-    index_of: dict
+    modes: np.ndarray  # (size, N) integers
+
+    def __post_init__(self):
+        object.__setattr__(self, "_keys", _pack(self.modes, self.M))
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.modes.shape[0]
+
+    def index(self, modes) -> np.ndarray:
+        """Positions of the states listed by the rows of `modes` (each row
+        nondecreasing, as in `self.modes`)."""
+        modes = np.asarray(modes)
+        key = _pack(modes, self.M)
+        pos = np.searchsorted(self._keys, key)
+        found = self._keys[np.minimum(pos, self.size - 1)] == key
+        if not (np.all(found) and np.all((modes >= 0) & (modes < self.M))):
+            raise ValueError("mode list is not a sorted state of this basis")
+        return pos
 
     def occupation_vector(self, i: int) -> np.ndarray:
-        occ = np.zeros(self.M, dtype=int)
-        for m in self.states[i]:
-            occ[m] += 1
-        return occ
+        return np.bincount(self.modes[i], minlength=self.M)
+
+    def arrangements(self) -> np.ndarray:
+        """N! / prod_m n_m! per state: the number of distinct orderings of
+        its mode list."""
+        # the k-th repeat of a mode contributes the factor k to prod n_m!
+        fact = np.ones(self.size)
+        for p in range(1, self.N):
+            fact *= 1 + np.sum(self.modes[:, :p] == self.modes[:, p:p + 1], axis=1)
+        return math.factorial(self.N) / fact
 
 
 def build_fock_basis(M: int, N: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
@@ -49,21 +85,18 @@ def build_fock_basis(M: int, N: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasi
     size = math.comb(M + N - 1, N)
     if size > dim_cap:
         raise ValueError(f"basis size {size} exceeds cap {dim_cap}")
-    states = tuple(combinations_with_replacement(range(M), N))
-    index_of = {s: i for i, s in enumerate(states)}
-    return FockBasis(M=M, N=N, states=states, index_of=index_of)
-
-
-def _occ_count(state: tuple, mode: int) -> int:
-    return state.count(mode)
-
-
-def _remove_add(state: tuple, rm: int, add: int) -> tuple:
-    lst = list(state)
-    lst.remove(rm)
-    lst.append(add)
-    lst.sort()
-    return tuple(lst)
+    if M ** N > np.iinfo(np.int64).max:
+        raise ValueError(f"{M}^{N} product states overflow the 64-bit state keys")
+    # prepend a leading mode m to every (shorter) row whose first mode is >= m
+    modes = np.zeros((1, 0), dtype=np.int32)
+    for _ in range(N):
+        start = (np.searchsorted(modes[:, 0], np.arange(M)) if modes.shape[1]
+                 else np.zeros(M, dtype=np.int64))
+        count = len(modes) - start
+        modes = np.column_stack([np.repeat(np.arange(M, dtype=np.int32), count),
+                                 modes[_ragged_arange(start, count)]])
+    modes.flags.writeable = False
+    return FockBasis(M=M, N=N, modes=modes)
 
 
 def second_quantize(one_body: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
@@ -74,25 +107,46 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
     ob = sp.csc_matrix(one_body)
     if ob.shape != (basis.M, basis.M):
         raise ValueError("one-body matrix dimension does not match mode count")
-    cols = [ob.getcol(m).tocoo() for m in range(basis.M)]
+    modes, N = basis.modes, basis.N
+    col_of = np.repeat(np.arange(basis.M), np.diff(ob.indptr))
+    on_diag = ob.indices == col_of
+    t_diag = np.zeros(basis.M, dtype=ob.dtype)
+    t_diag[col_of[on_diag]] = ob.data[on_diag]
+    has_diag = np.zeros(basis.M, dtype=bool)
+    has_diag[col_of[on_diag]] = True
+    # off-diagonal entries of the one-body matrix, grouped by column
+    off_ptr = np.concatenate([[0], np.cumsum(np.bincount(col_of[~on_diag],
+                                                         minlength=basis.M))])
+    off_row = ob.indices[~on_diag].astype(np.int32)
+    off_val = ob.data[~on_diag]
+
+    diag = np.zeros(basis.size, dtype=complex)
     rows_out, cols_out, vals_out = [], [], []
-    for i, state in enumerate(basis.states):
-        for m in set(state):
-            n_m = state.count(m)
-            col = cols[m]
-            for r, t in zip(col.row, col.data):
-                if r == m:
-                    rows_out.append(i)
-                    cols_out.append(i)
-                    vals_out.append(t * n_m)
-                else:
-                    new = _remove_add(state, m, r)
-                    j = basis.index_of[new]
-                    amp = t * math.sqrt(n_m * (state.count(r) + 1))
-                    rows_out.append(j)
-                    cols_out.append(i)
-                    vals_out.append(amp)
-    H = sp.coo_matrix((vals_out, (rows_out, cols_out)),
+    for p in range(N):
+        m = modes[:, p]
+        diag += t_diag[m]
+        # hop each occupied mode once: from the first slot of its run
+        first = (m != modes[:, p - 1]) if p else np.ones(basis.size, dtype=bool)
+        n_m = np.sum(modes == m[:, None], axis=1)
+        src = np.flatnonzero(first).astype(np.int32)
+        cnt = np.diff(off_ptr)[m[src]]
+        k = _ragged_arange(off_ptr[m[src]], cnt)
+        src = np.repeat(src, cnt)
+        r = off_row[k]
+        new = modes[src]
+        n_r = np.sum(new == r[:, None], axis=1)
+        amp = off_val[k] * np.sqrt(n_m[src] * (n_r + 1.0))
+        new[:, p] = r
+        new.sort(axis=1)
+        rows_out.append(basis.index(new))
+        cols_out.append(src)
+        vals_out.append(amp)
+    occupied_diag = np.flatnonzero(has_diag[modes].any(axis=1))
+    rows_out.append(occupied_diag)
+    cols_out.append(occupied_diag)
+    vals_out.append(diag[occupied_diag])
+    H = sp.coo_matrix((np.concatenate(vals_out),
+                       (np.concatenate(rows_out), np.concatenate(cols_out))),
                       shape=(basis.size, basis.size), dtype=complex)
     return H.tocsr()
 
@@ -109,19 +163,14 @@ def build_manybody_hamiltonian(
     H_sp = build_bilayer_hamiltonian(geom, links, params)
     H = second_quantize(H_sp, basis)
     if params.U != 0.0:
-        diag = np.empty(basis.size)
-        for i, state in enumerate(basis.states):
-            val = 0.0
-            for m in set(state):
-                n = state.count(m)
-                val += n * (n - 1)
-            # cross-species term: n_a n_b on the same site
-            for m in set(state):
-                if m < ns:
-                    partner = m + ns
-                    val += state.count(m) * state.count(partner)
-            diag[i] = params.U * val
-        H = H + sp.diags(diag)
+        # sum_m n_m(n_m-1) = 2 #{p<q: m_p = m_q}; sum_x n_a n_b = #{m_q = m_p + ns}
+        modes = basis.modes
+        val = np.zeros(basis.size, dtype=np.int64)
+        for p in range(basis.N):
+            for q in range(p + 1, basis.N):
+                val += 2 * (modes[:, q] == modes[:, p])
+                val += modes[:, q] == modes[:, p] + ns
+        H = H + sp.diags(params.U * val)
     return H.tocsr()
 
 
@@ -149,17 +198,21 @@ def lowest_eigenstates(H: sp.spmatrix, count: int, basis: FockBasis,
         evals, evecs = np.linalg.eigh(dense)
     else:
         k = min(count + 4, dim - 2)
+        # a fixed start vector makes identical runs give identical results
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         evals, evecs = spla.eigsh(H, k=k, which="SA", maxiter=maxiter,
-                                  tol=tol_factor / 10)
+                                  tol=tol_factor / 10,
+                                  v0=v0 if np.iscomplexobj(H) else v0.real)
+    tol = tol_factor * max(scale, 1.0)
     order = np.argsort(evals)
     out = []
     for idx in order[:count]:
         v = evecs[:, idx]
         resid = np.linalg.norm(H @ v - evals[idx] * v)
-        if resid > tol_factor * max(scale, 1.0):
+        if resid > tol:
             raise RuntimeError(
-                f"eigensolver residual {resid:.2e} exceeds tolerance "
-                f"{tol_factor * scale:.2e}")
+                f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
         v = v / np.linalg.norm(v)
         out.append(ManyBodyState(amplitudes=v.astype(complex),
                                  energy=float(evals[idx]), basis=basis))
@@ -190,28 +243,19 @@ class MotionalDensityMatrix:
         return float(np.sum(np.abs(self.factor) ** 2))
 
 
-def _first_quantized(state: ManyBodyState) -> np.ndarray:
-    """Expand a Fock vector into the symmetric first-quantized wavefunction
-    over (mode_1, ..., mode_N); supported for N in {1, 2}."""
-    basis = state.basis
-    M, N = basis.M, basis.N
-    if N == 1:
-        psi = np.zeros(M, dtype=complex)
-        for i, (m,) in enumerate(basis.states):
-            psi[m] = state.amplitudes[i]
-        return psi
-    if N == 2:
-        psi = np.zeros((M, M), dtype=complex)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for i, (m1, m2) in enumerate(basis.states):
-            a = state.amplitudes[i]
-            if m1 == m2:
-                psi[m1, m2] = a
-            else:
-                psi[m1, m2] = a * inv_sqrt2
-                psi[m2, m1] = a * inv_sqrt2
-        return psi
-    raise NotImplementedError("first-quantized expansion implemented for N <= 2")
+def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Expand a Fock vector into the symmetric first-quantized wavefunction,
+    a tensor with one axis of length M per particle.
+
+    Every ordering of a state's mode list carries its amplitude times
+    sqrt(prod n_m! / N!); an ordering reached by several permutations (a
+    repeated mode) is written several times with the same value.
+    """
+    psi = np.zeros((basis.M,) * basis.N, dtype=complex)
+    vals = np.asarray(amplitudes) / np.sqrt(basis.arrangements())
+    for perm in permutations(range(basis.N)):
+        psi.flat[_pack(basis.modes[:, list(perm)], basis.M)] = vals
+    return psi
 
 
 def motional_density_matrix(state: ManyBodyState) -> MotionalDensityMatrix:
@@ -226,17 +270,11 @@ def motional_density_matrix(state: ManyBodyState) -> MotionalDensityMatrix:
         raise ValueError("mode count must be even (two internal states)")
     ns = basis.M // 2
     N = basis.N
-    psi = _first_quantized(state)
-    if N == 1:
-        # modes are (species * ns + site); reshape to (species, site)
-        C = psi.reshape(2, ns).T  # rows: site, cols: internal label
-    elif N == 2:
-        # psi[mu1, mu2] with mu = s*ns + x -> tensor (s1, x1, s2, x2)
-        t = psi.reshape(2, ns, 2, ns)
-        # rows (x1, x2), cols (s1, s2)
-        C = np.transpose(t, (1, 3, 0, 2)).reshape(ns * ns, 4)
-    else:
-        raise NotImplementedError("partial trace implemented for N <= 2")
+    # mode mu = s*ns + x: split each particle axis into (s, x), then move
+    # the positions to the rows and the internal labels to the columns
+    psi = _first_quantized(state.amplitudes, basis).reshape((2, ns) * N)
+    axes = [2 * k + 1 for k in range(N)] + [2 * k for k in range(N)]
+    C = psi.transpose(axes).reshape(ns ** N, 2 ** N)
     return MotionalDensityMatrix(factor=C, n_sites=ns, N=N)
 
 
@@ -252,21 +290,12 @@ def c_mode_number(state: ManyBodyState) -> float:
     basis = state.basis
     ns = basis.M // 2
     # one-body operator: 1/2 (n_a + n_b - a^dag b - b^dag a) per site
-    rows, cols, vals = [], [], []
-    for s in range(ns):
-        a, b = s, ns + s
-        rows += [a, b, a, b]
-        cols += [a, b, b, a]
-        vals += [0.5, 0.5, -0.5, -0.5]
-    op = sp.coo_matrix((vals, (rows, cols)), shape=(basis.M, basis.M)).tocsr()
+    a = np.arange(ns)
+    b = a + ns
+    op = sp.coo_matrix((np.repeat([0.5, 0.5, -0.5, -0.5], ns),
+                        (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                       shape=(basis.M, basis.M)).tocsr()
     big = second_quantize(op, basis)
-    v = state.amplitudes
-    return float(np.real(np.vdot(v, big @ v)))
-
-
-def expectation_one_body(state: ManyBodyState, op: sp.spmatrix) -> float:
-    """<state| second-quantized(op) |state> for a Hermitian one-body op."""
-    big = second_quantize(op, state.basis)
     v = state.amplitudes
     return float(np.real(np.vdot(v, big @ v)))
 
@@ -282,10 +311,20 @@ def subspace_overlap(rho: MotionalDensityMatrix, states: list[np.ndarray]) -> fl
 
 
 def symmetric_fock_to_product(vec: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Embed a single-species N-boson Fock vector into the first-quantized
-    product space (dimension M^N); supported for N in {1, 2}."""
-    M, N = basis.M, basis.N
-    st = ManyBodyState(amplitudes=np.asarray(vec, dtype=complex),
-                       energy=0.0, basis=basis)
-    psi = _first_quantized(st)
-    return psi.ravel()
+    """Embed an N-boson Fock vector into the first-quantized product space
+    (dimension M^N)."""
+    return _first_quantized(vec, basis).ravel()
+
+
+def product_to_symmetric_fock(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Fock amplitudes of the symmetric part of a product-space vector; the
+    inverse of `symmetric_fock_to_product` on symmetric vectors.
+
+    Amplitude i is the sum of psi over all N! orderings of state i's mode
+    list, divided by sqrt(N! prod n_m!).
+    """
+    psi = np.asarray(psi).ravel()
+    out = np.zeros(basis.size, dtype=complex)
+    for perm in permutations(range(basis.N)):
+        out += psi[_pack(basis.modes[:, list(perm)], basis.M)]
+    return out * (np.sqrt(basis.arrangements()) / math.factorial(basis.N))

@@ -13,10 +13,6 @@ import scipy.sparse as sp
 
 from .lattice import Boundary, LatticeGeometry, LinkField
 
-SPECIES_A = 0  # x-hopping species
-SPECIES_B = 1  # y-hopping species
-
-
 @dataclass(frozen=True)
 class ModelParams:
     J: float = 1.0
@@ -46,11 +42,6 @@ class SpectrumResult:
     @property
     def alpha(self) -> float:
         return self.p / self.q
-
-
-def mode_index(geom: LatticeGeometry, species: int, j: int, k: int) -> int:
-    """Bijection (species, j, k) <-> [0, 2*Lx*Ly)."""
-    return species * geom.n_sites + geom.site_index(j, k)
 
 
 def _hop_entries(geom: LatticeGeometry, links: LinkField, J: float, J2: float,

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,8 @@ def raman_parity_integral(g: TiltGeometry, sigma_x: float, sigma_z: float,
     directions and the integral vanishes; `center_offset` displaces the
     orbital center to probe that cancellation.
     """
+    from scipy.integrate import dblquad  # slow to import; only needed here
+
     e_plus, e_pi = field_profiles(g)
     a = lattice_spacing(g)
     x0 = site[0] * a + center_offset[0]

@@ -86,9 +86,8 @@ def target_model_ground_pair(geom, links, U=10.0):
     H1 = build_target_hamiltonian(geom, links, 1.0)
     basis = build_fock_basis(ns, 2)
     H = second_quantize(H1, basis).tolil()
-    for i, st in enumerate(basis.states):
-        if st[0] == st[1]:
-            H[i, i] += 2.0 * U
+    for i in np.flatnonzero(basis.modes[:, 0] == basis.modes[:, 1]):
+        H[i, i] += 2.0 * U
     states = lowest_eigenstates(H.tocsr(), 2, basis)
     return [symmetric_fock_to_product(s.amplitudes, basis) for s in states]
 

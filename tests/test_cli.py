@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaugelatt
 from gaugelatt.cli import main
 from gaugelatt.lattice import (Boundary, LatticeGeometry,
                                uniform_phase_pattern)
@@ -54,6 +59,29 @@ class TestGround:
         assert all(p > 0.9 for p in report["purities"])
         assert abs(report["c_number"] - 2.0) < 0.05
         assert "energy" in stdout
+
+    def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
+        # basis dimension 2628: the ARPACK path, not the dense one
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            rc, _, _ = run(["ground", "--lx", "6", "--ly", "6", "--n", "2",
+                            "--alpha", "1/9", "--output", str(out)], capsys)
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_three_bosons_report_laughlin_overlap(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc, stdout, _ = run(["ground", "--lx", "6", "--ly", "4", "--n", "3",
+                             "--alpha", "1/4", "--output", str(out)], capsys)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["filling_factor"] == "1/2"
+        assert len(report["purities"]) == 2
+        assert all(0.95 < p <= 1.0 for p in report["purities"])
+        assert abs(report["c_number"] - 3.0) < 0.05
+        assert len(report["laughlin_overlap"]) == 2
+        assert all(o > 0.9 for o in report["laughlin_overlap"])
+        assert "laughlin overlaps" in stdout
 
     def test_half_filling_reports_overlap(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -151,3 +179,14 @@ class TestFlux:
         with pytest.raises(SystemExit):
             main(["flux", "whatever.json", "--alpha", "x/y"])
         capsys.readouterr()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gaugelatt.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gaugelatt.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

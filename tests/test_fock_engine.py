@@ -1,0 +1,338 @@
+"""The array-backed Fock engine against the per-state loops it replaced.
+
+The reference functions below are the earlier tuple-basis implementations:
+a tuple of sorted mode tuples, a dict for ranking, and one Python loop per
+basis state.
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaugelatt import manybody
+from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
+                               uniform_phase_pattern)
+from gaugelatt.laughlin import (ThetaParams, apply_one_body_unitary,
+                                laughlin_lattice_states, theta1,
+                                theta_with_characteristics)
+from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
+                                build_manybody_hamiltonian, c_mode_number,
+                                lowest_eigenstates, motional_density_matrix,
+                                product_to_symmetric_fock, purity,
+                                second_quantize, symmetric_fock_to_product)
+from gaugelatt.singleparticle import ModelParams, build_bilayer_hamiltonian
+
+
+# ---------------------------------------------------------------- references
+
+def reference_states(M, N):
+    states = tuple(combinations_with_replacement(range(M), N))
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def _remove_add(state, rm, add):
+    lst = list(state)
+    lst.remove(rm)
+    lst.append(add)
+    lst.sort()
+    return tuple(lst)
+
+
+def reference_second_quantize(one_body, M, N):
+    states, index_of = reference_states(M, N)
+    ob = sp.csc_matrix(one_body)
+    cols = [ob.getcol(m).tocoo() for m in range(M)]
+    rows_out, cols_out, vals_out = [], [], []
+    for i, state in enumerate(states):
+        for m in set(state):
+            n_m = state.count(m)
+            col = cols[m]
+            for r, t in zip(col.row, col.data):
+                if r == m:
+                    rows_out.append(i)
+                    cols_out.append(i)
+                    vals_out.append(t * n_m)
+                else:
+                    j = index_of[_remove_add(state, m, r)]
+                    rows_out.append(j)
+                    cols_out.append(i)
+                    vals_out.append(t * math.sqrt(n_m * (state.count(r) + 1)))
+    H = sp.coo_matrix((vals_out, (rows_out, cols_out)),
+                      shape=(len(states), len(states)), dtype=complex)
+    return H.tocsr()
+
+
+def reference_interaction(M, N, U):
+    ns = M // 2
+    states, _ = reference_states(M, N)
+    diag = np.empty(len(states))
+    for i, state in enumerate(states):
+        val = 0.0
+        for m in set(state):
+            n = state.count(m)
+            val += n * (n - 1)
+        for m in set(state):
+            if m < ns:
+                val += state.count(m) * state.count(m + ns)
+        diag[i] = U * val
+    return diag
+
+
+def reference_first_quantized(vec, M, N):
+    """The N <= 2 expansion the general one replaced."""
+    states, _ = reference_states(M, N)
+    if N == 1:
+        psi = np.zeros(M, dtype=complex)
+        for i, (m,) in enumerate(states):
+            psi[m] = vec[i]
+        return psi
+    psi = np.zeros((M, M), dtype=complex)
+    for i, (m1, m2) in enumerate(states):
+        a = vec[i]
+        if m1 == m2:
+            psi[m1, m2] = a
+        else:
+            psi[m1, m2] = psi[m2, m1] = a / math.sqrt(2.0)
+    return psi.ravel()
+
+
+def reference_theta(z, params, tol=1e-14):
+    tau, a, b = params.tau, params.a, params.b
+    center = -z.imag / (math.pi * tau.imag) - a
+    width = math.sqrt(max(-math.log(tol * 1e-3), 1.0) / (math.pi * tau.imag)) + 2.0
+    n = np.arange(math.floor(center - width), math.ceil(center + width) + 1,
+                  dtype=float) + a
+    return complex(np.sum(np.exp(1j * math.pi * tau * n * n
+                                 + 2j * n * (z + math.pi * b))))
+
+
+def reference_laughlin_amplitudes(N, alpha, geom, com_a):
+    """Unnormalized, unconjugated per-state amplitudes of one Laughlin state."""
+    m, a, r0 = 2, float(alpha), geom.r0
+    L1, L2 = geom.Lx * r0, geom.Ly * r0
+    tau = 1j * L2 / L1
+    ell2 = r0 * r0 / (2.0 * math.pi * a)
+    pos = np.array([(s // geom.Ly + 1j * (s % geom.Ly)) * r0
+                    for s in range(geom.n_sites)])
+    states, _ = reference_states(geom.n_sites, N)
+    com = ThetaParams(tau=m * tau, a=com_a, b=0.0)
+    odd = ThetaParams(tau=tau, a=0.5, b=0.5)
+    amps = np.empty(len(states), dtype=complex)
+    for i, modes in enumerate(states):
+        zs = pos[list(modes)]
+        val = reference_theta(m * math.pi * zs.sum() / L1, com)
+        for p in range(N):
+            for q in range(p + 1, N):
+                val *= (-reference_theta(math.pi * (zs[p] - zs[q]) / L1, odd)) ** m
+        gauss = math.exp(-float(np.sum(zs.imag ** 2)) / (2.0 * ell2))
+        mult = math.factorial(N)
+        for mo in set(modes):
+            mult //= math.factorial(modes.count(mo))
+        amps[i] = val * gauss * math.sqrt(mult)
+    return amps
+
+
+# ------------------------------------------------------------------ helpers
+
+def torus(Lx, Ly):
+    return LatticeGeometry(Lx, Ly, boundary=Boundary.MAGNETIC_TORUS)
+
+
+def random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def sparse_hermitian(draw):
+    M = draw(st.integers(1, 6))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    A[rng.random((M, M)) > density] = 0.0
+    A = A + A.conj().T
+    return sp.csr_matrix(A)
+
+
+# -------------------------------------------------------------------- basis
+
+class TestBasis:
+    @pytest.mark.parametrize("M,N", [(1, 3), (4, 1), (5, 3), (3, 4), (7, 0)])
+    def test_rows_in_combinations_order(self, M, N):
+        basis = build_fock_basis(M, N)
+        states, _ = reference_states(M, N)
+        assert basis.modes.shape == (len(states), N)
+        assert [tuple(r) for r in basis.modes.tolist()] == list(states)
+
+    def test_index_ranks_every_row(self):
+        basis = build_fock_basis(6, 4)
+        rows = basis.modes[::-1]
+        np.testing.assert_array_equal(basis.index(rows),
+                                      np.arange(basis.size)[::-1])
+
+    @pytest.mark.parametrize("row", [[1, 0], [0, 6], [-1, 2]])
+    def test_index_rejects_non_states(self, row):
+        with pytest.raises(ValueError, match="not a sorted state"):
+            build_fock_basis(6, 2).index(row)
+
+    def test_arrangements(self):
+        basis = build_fock_basis(3, 3)
+        got = dict(zip(map(tuple, basis.modes.tolist()), basis.arrangements()))
+        assert got[(0, 0, 0)] == 1 and got[(0, 0, 1)] == 3
+        assert got[(0, 1, 2)] == 6
+
+    def test_modes_read_only(self):
+        with pytest.raises(ValueError):
+            build_fock_basis(4, 2).modes[0, 0] = 3
+
+
+# --------------------------------------------------------- second quantization
+
+def assert_same_csr(new, ref, N):
+    """Same pattern and bit-identical values, except that for N >= 3 a
+    diagonal entry may differ in its last digits: the loop adds n_m t_mm per
+    occupied mode in set iteration order, the array code adds t_mm once per
+    particle."""
+    np.testing.assert_array_equal(new.indptr, ref.indptr)
+    np.testing.assert_array_equal(new.indices, ref.indices)
+    rows = np.repeat(np.arange(new.shape[0]), np.diff(new.indptr))
+    off = rows != new.indices
+    np.testing.assert_array_equal(new.data[off], ref.data[off])
+    if N <= 2:
+        np.testing.assert_array_equal(new.data, ref.data)
+    else:
+        scale = max(1.0, np.abs(ref.data).max(initial=0.0))
+        np.testing.assert_allclose(new.data[~off], ref.data[~off], rtol=0,
+                                   atol=8 * N * np.finfo(float).eps * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_body=sparse_hermitian(), N=st.integers(1, 4))
+def test_second_quantize_matches_loop(one_body, N):
+    M = one_body.shape[0]
+    new = second_quantize(one_body, build_fock_basis(M, N))
+    assert_same_csr(new, reference_second_quantize(one_body, M, N), N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_hamiltonian_matches_loop(N):
+    geom = torus(3, 4)
+    alpha = Fraction(1, 4)
+    links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                              alpha=alpha)
+    params = ModelParams(J=1.0, omega=2.5, U=3.0, J2=0.2)
+    M = 2 * geom.n_sites
+    basis = build_fock_basis(M, N)
+    H = build_manybody_hamiltonian(geom, links, params, basis)
+    one_body = build_bilayer_hamiltonian(geom, links, params)
+    ref = (reference_second_quantize(one_body, M, N)
+           + sp.diags(reference_interaction(M, N, params.U))).tocsr()
+    # no one-body diagonal, so every entry is bit-identical for every N
+    assert one_body.diagonal().tolist() == [0] * M
+    assert_same_csr(H, ref, N=1)
+
+
+# ------------------------------------------------------ first-quantized form
+
+@pytest.mark.parametrize("M,N", [(5, 1), (6, 2)])
+def test_expansion_matches_small_n_code(M, N):
+    basis = build_fock_basis(M, N)
+    v = random_state(basis, 3)
+    np.testing.assert_allclose(symmetric_fock_to_product(v, basis),
+                               reference_first_quantized(v, M, N),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("M,N", [(5, 1), (6, 2), (6, 3), (4, 4)])
+def test_expansion_round_trip(M, N):
+    basis = build_fock_basis(M, N)
+    v = random_state(basis, N)
+    psi = symmetric_fock_to_product(v, basis)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    t = psi.reshape((M,) * N)
+    for perm in permutations(range(N)):
+        np.testing.assert_array_equal(t.transpose(perm), t)
+    np.testing.assert_allclose(product_to_symmetric_fock(psi, basis), v,
+                               rtol=0, atol=1e-14)
+
+
+def test_permutation_unitary_reranks_modes():
+    M = 7
+    basis = build_fock_basis(M, 3)
+    perm = np.random.default_rng(4).permutation(M)
+    P = np.zeros((M, M))
+    P[perm, np.arange(M)] = 1.0  # mode m -> perm[m]
+    v = random_state(basis, 5)
+    expect = np.empty_like(v)
+    expect[basis.index(np.sort(perm[basis.modes], axis=1))] = v
+    np.testing.assert_allclose(apply_one_body_unitary(P, v, basis), expect,
+                               rtol=0, atol=1e-14)
+
+
+def test_three_boson_product_state_has_unit_purity():
+    # one boson per site 0, 1, 2, each in c = (a - b)/sqrt(2)
+    ns = 4
+    basis = build_fock_basis(2 * ns, 3)
+    amps = np.zeros(basis.size, dtype=complex)
+    for labels in np.ndindex(2, 2, 2):
+        modes = np.sort(np.array(labels) * ns + np.arange(3))
+        amps[basis.index(modes)] = np.prod([(1, -1)[s] for s in labels]) / 8 ** 0.5
+    state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
+    rho = motional_density_matrix(state)
+    assert rho.factor.shape == (ns ** 3, 8)
+    assert rho.trace == pytest.approx(1.0, abs=1e-12)
+    assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+    assert c_mode_number(state) == pytest.approx(3.0, abs=1e-12)
+
+
+# ------------------------------------------------------------------ Laughlin
+
+def test_theta_arrays_match_scalar_loop():
+    params = ThetaParams(tau=0.5 + 1.3j, a=0.5, b=0.5)
+    z = np.random.default_rng(6).normal(size=(4, 3)) * (1 + 2j)
+    got = theta_with_characteristics(z, params)
+    assert got.shape == z.shape
+    for zi, gi in zip(z.ravel(), got.ravel()):
+        ref = reference_theta(complex(zi), params)
+        assert abs(gi - ref) < 1e-13 * max(abs(ref), 1.0)
+    assert isinstance(theta1(0.3 + 0.1j, params.tau), complex)
+
+
+@pytest.mark.parametrize("Lx,Ly,alpha,N", [(4, 4, Fraction(1, 4), 2),
+                                            (6, 4, Fraction(1, 4), 3)])
+def test_laughlin_matches_loop(Lx, Ly, alpha, N):
+    geom = torus(Lx, Ly)
+    sub = laughlin_lattice_states(N, alpha, geom)
+    ref = np.conj(reference_laughlin_amplitudes(N, alpha, geom, 0.0))
+    ref /= np.linalg.norm(ref)
+    np.testing.assert_allclose(sub.states[0], ref, rtol=0, atol=1e-12)
+    ref1 = np.conj(reference_laughlin_amplitudes(N, alpha, geom, 0.5))
+    ref1 /= np.linalg.norm(ref1)
+    ref1 -= np.vdot(ref, ref1) * ref
+    np.testing.assert_allclose(sub.states[1], ref1 / np.linalg.norm(ref1),
+                               rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- eigensolver
+
+def test_residual_error_reports_the_applied_tolerance(monkeypatch):
+    # scale = 0.1 < 1: the check applies tol_factor * 1, not tol_factor * 0.1
+    dim = 100
+    H = sp.diags(np.linspace(-0.1, 0.1, dim)).tocsr()
+    basis = build_fock_basis(dim, 1)
+
+    def bad_eigsh(A, k, **kwargs):
+        vecs = np.eye(dim)[:, :k]
+        return np.full(k, 0.05), vecs  # wrong eigenvalues for these vectors
+
+    monkeypatch.setattr(manybody.spla, "eigsh", bad_eigsh)
+    with pytest.raises(RuntimeError, match=r"tolerance 1\.00e-09$"):
+        lowest_eigenstates(H, 1, basis)

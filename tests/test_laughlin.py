@@ -85,10 +85,8 @@ class TestLaughlinStates:
     def test_double_occupancy_suppressed(self, reference_instance):
         geom, _, _, sub = reference_instance
         for v in sub.states:
-            docc = 0.0
-            for i, st_ in enumerate(sub.basis.states):
-                if st_[0] == st_[1]:
-                    docc += 2 * abs(v[i]) ** 2
+            double = sub.basis.modes[:, 0] == sub.basis.modes[:, 1]
+            docc = 2 * np.sum(np.abs(v[double]) ** 2)
             assert docc / geom.n_sites < 0.02
 
     def test_magnetic_translation_closes_subspace(self, reference_instance):
