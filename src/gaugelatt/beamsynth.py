@@ -4,7 +4,6 @@ per-site beam weights that imprint a target Raman phase pattern."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,21 +53,31 @@ class BeamArray:
         return self.amplitudes * np.exp(1j * self.phases)
 
     def write_csv(self, path, geom: LatticeGeometry) -> None:
+        j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
+        fmt = "{:.12g}".format
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j", "k", "amplitude", "phase"])
-            for j in range(geom.Lx):
-                for k in range(geom.Ly):
-                    i = j * geom.Ly + k
-                    writer.writerow([j, k, f"{self.amplitudes[i]:.12g}",
-                                     f"{self.phases[i]:.12g}"])
+            writer.writerows(zip(j.tolist(), k.tolist(),
+                                 map(fmt, self.amplitudes.tolist()),
+                                 map(fmt, self.phases.tolist())))
 
 
 @dataclass(frozen=True)
 class OverlapMatrix:
-    T: np.ndarray
+    """The Gaussian overlap separates per axis: for sites ordered
+    i = j * Ly + k, T[(j, k), (j', k')] = scale * kx[j, j'] * ky[k, k']."""
+
+    kx: np.ndarray  # (Lx, Lx)
+    ky: np.ndarray  # (Ly, Ly)
+    scale: float
     cutoff_radius: float
     geom: LatticeGeometry
+
+    @property
+    def T(self) -> np.ndarray:
+        """The dense (Lx*Ly)^2 matrix, built on demand (tests, small grids)."""
+        return self.scale * np.kron(self.kx, self.ky)
 
 
 def wannier_width(V0: float, r0: float = 1.0) -> float:
@@ -79,79 +88,67 @@ def wannier_width(V0: float, r0: float = 1.0) -> float:
     return (r0 / math.pi) * V0 ** -0.25
 
 
-def overlap_entry(d2: float, wm: WannierModel, mf: ModeFunction) -> float:
-    """Closed-form integral of the beam profile against the on-site Wannier
-    product, for squared center distance d2.
-
-    With L2-normalized Gaussians the product W_a W_b is a Gaussian of
-    combined width, and the beam integral is again Gaussian in the offset.
-    """
+def overlap_matrix(geom: LatticeGeometry, wm: WannierModel,
+                   mf: ModeFunction, drop_tol: float = 1e-14) -> OverlapMatrix:
+    """T[target site, beam center] from the closed-form Gaussian integral
+    T(d) = pref exp(-decay |d|^2), one factor per axis.  Factor entries with
+    pref * k < drop_tol are zeroed, so every dropped product is below it."""
     sa2, sb2 = wm.sigma_a ** 2, wm.sigma_b ** 2
     w2 = mf.w ** 2
     # W_a W_b decays as exp(-inv_s2 r^2); the beam as exp(-|r-d|^2/w^2)
     inv_s2 = 0.5 / sa2 + 0.5 / sb2
-    inv_w2 = 1.0 / w2
-    n_ab = 1.0 / (math.pi * wm.sigma_a * wm.sigma_b)
-    n_beam = math.sqrt(2.0 / (math.pi * w2))
-    inv_tot = inv_s2 + inv_w2
-    pref = math.pi / inv_tot
-    expo = -d2 * (inv_s2 * inv_w2) / inv_tot
-    return n_ab * n_beam * pref * math.exp(expo)
-
-
-def overlap_matrix(geom: LatticeGeometry, wm: WannierModel,
-                   mf: ModeFunction, drop_tol: float = 1e-14) -> OverlapMatrix:
-    """Assemble T[target site, beam center] from the closed-form Gaussian
-    integrals, truncating entries below drop_tol."""
-    n = geom.n_sites
-    xs = np.empty((n, 2))
-    for j in range(geom.Lx):
-        for k in range(geom.Ly):
-            xs[j * geom.Ly + k] = (j * geom.r0, k * geom.r0)
-    d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
-    sa2, sb2 = wm.sigma_a ** 2, wm.sigma_b ** 2
-    inv_s2 = 0.5 / sa2 + 0.5 / sb2
-    w2 = mf.w ** 2
     inv_w2 = 1.0 / w2
     inv_tot = inv_s2 + inv_w2
     n_ab = 1.0 / (math.pi * wm.sigma_a * wm.sigma_b)
     n_beam = math.sqrt(2.0 / (math.pi * w2))
     pref = n_ab * n_beam * math.pi / inv_tot
     decay = inv_s2 * inv_w2 / inv_tot
-    T = pref * np.exp(-decay * d2)
-    mask = T < drop_tol
-    T[mask] = 0.0
-    kept = d2[~mask]
+    lx, ly = geom.Lx, geom.Ly
+    x = np.arange(max(lx, ly)) * geom.r0
+    k = np.exp(-decay * (x[:, None] - x[None, :]) ** 2)
+    k[pref * k < drop_tol] = 0.0
+    k.flags.writeable = False  # kx and ky are views of it
+    # largest site separation whose overlap survives drop_tol
+    d2 = np.add.outer(x[:lx] ** 2, x[:ly] ** 2)
+    kept = d2[pref * np.exp(-decay * d2) >= drop_tol]
     cutoff = float(np.sqrt(kept.max())) if kept.size else 0.0
-    return OverlapMatrix(T=T, cutoff_radius=cutoff, geom=geom)
+    return OverlapMatrix(kx=k[:lx, :lx], ky=k[:ly, :ly], scale=pref,
+                         cutoff_radius=cutoff, geom=geom)
+
+
+def _apply(T: OverlapMatrix, x: np.ndarray) -> np.ndarray:
+    """T @ x through the factors: scale * kx X ky^T with X = x as (Lx, Ly)."""
+    X = x.reshape(T.kx.shape[0], T.ky.shape[0])
+    return (T.scale * (T.kx @ X @ T.ky.T)).ravel()
 
 
 def condition_number(T: OverlapMatrix) -> float:
-    return float(np.linalg.cond(T.T))
+    """2-norm cond(kx) * cond(ky): Kronecker singular values multiply."""
+    return float(np.linalg.cond(T.kx) * np.linalg.cond(T.ky))
 
 
 def solve_beams(T: OverlapMatrix, target: np.ndarray,
                 cond_limit: float = 1e12) -> tuple[BeamArray, dict]:
-    """Solve T x = target for the beam weights.
-
-    Returns the beam array plus diagnostics (condition number, relative
-    residual, achieved amplitude spread)."""
+    """Solve T x = target for the beam weights one axis at a time,
+    X = kx^-1 t ky^-T / scale.  Returns the beam array plus diagnostics
+    (condition number, relative residual, achieved amplitude spread)."""
     target = np.asarray(target, dtype=complex).ravel()
-    mat = T.T
-    if mat.shape[0] != mat.shape[1] or mat.shape[0] != target.size:
+    lx, ly = T.kx.shape[0], T.ky.shape[0]
+    if target.size != lx * ly:
         raise ValueError("overlap matrix and target sizes do not match")
     cond = condition_number(T)
     if not np.isfinite(cond) or cond > cond_limit:
         raise RuntimeError(
             f"overlap matrix condition number {cond:.3e} exceeds {cond_limit:.0e}; "
             "beam waist too large for a stable inversion")
-    x = np.linalg.solve(mat, target)
-    resid = np.linalg.norm(mat @ x - target) / np.linalg.norm(target)
+    Y = np.linalg.solve(T.kx, target.reshape(lx, ly))
+    x = np.linalg.solve(T.ky, Y.T).T.ravel() / T.scale
+    achieved = _apply(T, x)
+    resid = np.linalg.norm(achieved - target) / np.linalg.norm(target)
     if resid > 1e-10:
         raise RuntimeError(f"linear solve residual {resid:.2e} above 1e-10")
     amps = np.abs(x)
     phases = np.where(amps > 0, np.angle(x), 0.0)
-    achieved = mat @ x
     mag = np.abs(achieved)
     diag = {
         "condition_number": cond,
@@ -163,7 +160,7 @@ def solve_beams(T: OverlapMatrix, target: np.ndarray,
 
 def forward_check(T: OverlapMatrix, beams: BeamArray) -> np.ndarray:
     """Per-site complex Raman amplitude produced by a beam array."""
-    return T.T @ beams.weights
+    return _apply(T, beams.weights)
 
 
 def target_from_pattern(p: PhasePattern, amplitude: float = 1.0) -> np.ndarray:

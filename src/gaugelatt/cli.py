@@ -218,8 +218,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, ZeroDivisionError) as exc:
-        return _fail(str(exc), command=args.command)
+    except (ValueError, RuntimeError, OSError, ZeroDivisionError,
+            MemoryError) as exc:
+        return _fail(str(exc) or type(exc).__name__, command=args.command)
 
 
 if __name__ == "__main__":

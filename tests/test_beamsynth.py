@@ -1,14 +1,18 @@
+import csv
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from gaugelatt.beamsynth import (BeamArray, ModeFunction, WannierModel,
-                                 forward_check, overlap_entry, overlap_matrix,
-                                 solve_beams, target_from_pattern,
-                                 wannier_width)
+                                 condition_number, forward_check,
+                                 overlap_matrix, solve_beams,
+                                 target_from_pattern, wannier_width)
 from gaugelatt.lattice import (LatticeGeometry, PhasePattern,
                                links_from_phases, plaquette_flux,
                                uniform_phase_pattern)
@@ -33,6 +37,45 @@ def quadrature_entry(d, wm, mf):
     val, _ = dblquad(f, -lim, lim, lambda x: -lim, lambda x: lim,
                      epsabs=1e-13, epsrel=1e-12)
     return val
+
+
+def dense_reference(geom, wm, mf, drop_tol=1e-14):
+    """The unfactored overlap assembly: T[target site, beam center] over the
+    full (Lx*Ly)^2 distance matrix, entries below drop_tol zeroed, plus the
+    largest kept site separation."""
+    n = geom.n_sites
+    xs = np.empty((n, 2))
+    for j in range(geom.Lx):
+        for k in range(geom.Ly):
+            xs[j * geom.Ly + k] = (j * geom.r0, k * geom.r0)
+    d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
+    sa2, sb2 = wm.sigma_a ** 2, wm.sigma_b ** 2
+    inv_s2 = 0.5 / sa2 + 0.5 / sb2
+    w2 = mf.w ** 2
+    inv_w2 = 1.0 / w2
+    inv_tot = inv_s2 + inv_w2
+    n_ab = 1.0 / (math.pi * wm.sigma_a * wm.sigma_b)
+    n_beam = math.sqrt(2.0 / (math.pi * w2))
+    pref = n_ab * n_beam * math.pi / inv_tot
+    decay = inv_s2 * inv_w2 / inv_tot
+    T = pref * np.exp(-decay * d2)
+    mask = T < drop_tol
+    T[mask] = 0.0
+    kept = d2[~mask]
+    cutoff = float(np.sqrt(kept.max())) if kept.size else 0.0
+    return T, cutoff
+
+
+def write_csv_loop(beams, path, geom):
+    """The per-site CSV writer that BeamArray.write_csv replaces."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "k", "amplitude", "phase"])
+        for j in range(geom.Lx):
+            for k in range(geom.Ly):
+                i = j * geom.Ly + k
+                writer.writerow([j, k, f"{beams.amplitudes[i]:.12g}",
+                                 f"{beams.phases[i]:.12g}"])
 
 
 class TestWannierWidth:
@@ -159,10 +202,16 @@ class TestSolveBeams:
     def test_condition_number_guard(self):
         geom = LatticeGeometry(8, 8)
         T = overlap_matrix(geom, wannier(), ModeFunction(w=0.9))
-        # manufacture a singular matrix to hit the guard
-        bad = T.__class__(T=np.zeros_like(T.T), cutoff_radius=0.0, geom=geom)
-        with pytest.raises(RuntimeError):
+        # a rank-one x factor (every beam column identical) makes T singular
+        bad = dataclasses.replace(T, kx=np.ones_like(T.kx))
+        assert condition_number(bad) > 1e12
+        with pytest.raises(RuntimeError, match="condition number"):
             solve_beams(bad, np.ones(64, dtype=complex))
+
+    def test_size_mismatch_rejected(self):
+        T = overlap_matrix(LatticeGeometry(3, 4), wannier(), ModeFunction(w=0.5))
+        with pytest.raises(ValueError, match="sizes do not match"):
+            solve_beams(T, np.ones(13, dtype=complex))
 
 
 class TestForwardCheck:
@@ -198,6 +247,52 @@ class TestForwardCheck:
                 d = (j - lam[0], k - lam[1])
                 acc += beams.weights[j * 4 + k] * quadrature_entry(d, wm, mf)
         assert achieved[lam[0] * 4 + lam[1]] == pytest.approx(acc, rel=1e-9)
+
+
+class TestFactoredAgainstDense:
+    @settings(max_examples=80, deadline=None)
+    @given(lx=st.integers(1, 7), ly=st.integers(1, 7),
+           w=st.floats(0.1, 1.5), depth_a=st.floats(3.0, 30.0),
+           depth_b=st.floats(3.0, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_reference(self, lx, ly, w, depth_a, depth_b, seed):
+        # non-square grids catch a swapped kron order or site ordering
+        geom = LatticeGeometry(lx, ly)
+        wm, mf = wannier(depth_a, depth_b), ModeFunction(w=w)
+        T = overlap_matrix(geom, wm, mf)
+        ref, cutoff = dense_reference(geom, wm, mf)
+        dense = T.T
+        kept = ref >= 1e-14
+        np.testing.assert_allclose(dense[kept], ref[kept], rtol=1e-14, atol=0)
+        # the per-axis cut keeps some entries the joint cut drops; all are tiny
+        assert np.all(dense[~kept] < 1e-14)
+        assert T.cutoff_radius == cutoff
+        cond = np.linalg.cond(ref)
+        if cond < 1e8:
+            assert condition_number(T) == pytest.approx(cond, rel=1e-10)
+        rng = np.random.default_rng(seed)
+        target = np.exp(1j * rng.uniform(0, 2 * math.pi, geom.n_sites))
+        beams, diag = solve_beams(T, target)
+        x_ref = np.linalg.solve(ref, target)
+        err = np.linalg.norm(beams.weights - x_ref) / np.linalg.norm(x_ref)
+        assert err <= 1e-12
+        assert diag["relative_residual"] <= 1e-10
+        achieved = ref @ beams.weights
+        err = np.linalg.norm(forward_check(T, beams) - achieved)
+        assert err <= 1e-12 * np.linalg.norm(achieved)
+
+
+class TestWriteCsv:
+    def test_matches_per_site_loop(self, tmp_path):
+        geom = LatticeGeometry(5, 3)
+        rng = np.random.default_rng(4)
+        amps = rng.uniform(0, 2, 15) * 10.0 ** rng.integers(-20, 20, 15)
+        phases = rng.uniform(-math.pi, math.pi, 15)
+        amps[0], phases[0] = 0.0, -0.0
+        beams = BeamArray(amplitudes=amps, phases=phases)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        beams.write_csv(new, geom)
+        write_csv_loop(beams, old, geom)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestInvariants:

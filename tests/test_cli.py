@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import gaugelatt
+from gaugelatt import beamsynth
 from gaugelatt.cli import main
 from gaugelatt.lattice import (Boundary, LatticeGeometry,
                                uniform_phase_pattern)
@@ -136,6 +138,49 @@ class TestSynth:
         err = json.loads(stderr)
         assert "condition number" in err["error"]
         assert err["command"] == "synth"
+
+    def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
+        for run_dir in ("a", "b"):
+            (tmp_path / run_dir).mkdir()
+            rc, _, _ = run(["synth", "--pattern", "uniform", "--alpha", "1/5",
+                            "--lx", "9", "--ly", "5", "--output",
+                            str(tmp_path / run_dir / "beams.csv")], capsys)
+            assert rc == 0
+        for name in ("beams.csv", "beams.diag.json"):
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_large_grid_runs_in_small_memory(self, tmp_path, capsys):
+        # 40,000 sites: a dense overlap matrix alone would take 12.8 GB
+        out = tmp_path / "beams.csv"
+        tracemalloc.start()
+        try:
+            rc, _, stderr = run(["synth", "--lx", "200", "--ly", "200",
+                                 "--output", str(out)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, stderr
+        assert peak < 64 * 2 ** 20
+        diag = json.loads((tmp_path / "beams.diag.json").read_text())
+        assert diag["relative_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("message, reported", [
+        ("Unable to allocate 12.8 GiB for an array", None),
+        ("", "MemoryError"),
+    ])
+    def test_memory_error_fails_cleanly(self, tmp_path, capsys, monkeypatch,
+                                        message, reported):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(beamsynth, "overlap_matrix", exhausted)
+        rc, _, stderr = run(["synth", "--output", str(tmp_path / "x.csv")],
+                            capsys)
+        assert rc == 1
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr) == {"error": reported or message,
+                                      "command": "synth"}
 
 
 class TestDesign:
