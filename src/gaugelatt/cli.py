@@ -36,8 +36,9 @@ def cmd_butterfly(args) -> int:
     out = Path(args.output)
     with open(out, "w") as fh:
         fh.write("p,q,alpha,eigenvalue\n")
-        for p, q, alpha, e in singleparticle.spectra_to_csv_rows(results):
-            fh.write(f"{p},{q},{alpha:.12g},{e:.12g}\n")
+        for r in results:  # ordered by alpha, each sorted by energy
+            row = f"{r.p},{r.q},{r.alpha:.12g},{{:.12g}}\n".format
+            fh.writelines(map(row, r.eigenvalues.tolist()))
     plot = out.with_suffix(".plot.txt")
     with open(plot, "w") as fh:
         fh.write("x: energy/J\ny: alpha\nsource: " + out.name + "\n"
@@ -148,9 +149,9 @@ def cmd_flux(args) -> int:
     alpha = args.alpha if geom.is_torus else None
     links = lattice.links_from_phases(pat, geom, alpha=alpha)
     flux = lattice.plaquette_flux(links, geom)
-    for j in range(flux.shape[0]):
-        for k in range(flux.shape[1]):
-            print(f"{j},{k},{flux[j, k]:.12g}")
+    j, k = np.indices(flux.shape)
+    sys.stdout.write("".join(map("{},{},{:.12g}\n".format, j.ravel().tolist(),
+                                 k.ravel().tolist(), flux.ravel().tolist())))
     return 0
 
 

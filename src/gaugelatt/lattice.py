@@ -13,7 +13,7 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -56,9 +56,6 @@ class LatticeGeometry:
     def is_torus(self) -> bool:
         return self.boundary is Boundary.MAGNETIC_TORUS
 
-    def site_index(self, j: int, k: int) -> int:
-        return (j % self.Lx) * self.Ly + (k % self.Ly)
-
 
 @dataclass(frozen=True)
 class PhasePattern:
@@ -96,12 +93,12 @@ class PhasePattern:
         return cls(phi=phi), geom
 
     def write_csv(self, path) -> None:
+        j, k = np.indices(self.phi.shape)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j", "k", "phi"])
-            for j in range(self.phi.shape[0]):
-                for k in range(self.phi.shape[1]):
-                    writer.writerow([j, k, f"{self.phi[j, k]:.12g}"])
+            writer.writerows(zip(j.ravel().tolist(), k.ravel().tolist(),
+                                 map("{:.12g}".format, self.phi.ravel().tolist())))
 
 
 @dataclass(frozen=True)
@@ -210,28 +207,36 @@ def links_from_vector_potential(
     return LinkField(theta_x=theta, boundary_twist_y=twist)
 
 
+def y_link_phases(l: LinkField, geom: LatticeGeometry) -> np.ndarray:
+    """Phase theta_y[j, k] of every y-bond (j,k)->(j,k+1).
+
+    Zero except on a magnetic torus's wrap bonds (j,Ly-1)->(j,0), which
+    carry boundary_twist_y[j].  Shape (Lx, Ly) on a torus, (Lx, Ly-1) on an
+    open lattice.
+    """
+    if not geom.is_torus:
+        return np.zeros((geom.Lx, geom.Ly - 1))
+    theta_y = np.zeros((geom.Lx, geom.Ly))
+    theta_y[:, -1] = l.boundary_twist_y
+    return theta_y
+
+
 def plaquette_flux(l: LinkField, geom: LatticeGeometry) -> np.ndarray:
     """Flux per plaquette in flux quanta, mod 1.
 
     The loop around plaquette (j,k) picks up
-    theta_x[j,k] + theta_y[j+1,k] - theta_x[j,k+1] - theta_y[j,k], where the
-    only nonzero y phases are the torus wrap twists.  For phase-only y bonds
-    this reduces to (theta[j,k] - theta[j,k+1]) / 2pi.
+    theta_x[j,k] - theta_x[j,k+1] + theta_y[j+1,k] - theta_y[j,k], indices
+    taken mod (Lx, Ly) on a torus.
     """
-    tx = l.theta_x
     n_jp = geom.Lx if geom.is_torus else geom.Lx - 1
     n_kp = geom.Ly if geom.is_torus else geom.Ly - 1
-    if tx.shape[0] < n_jp:
+    if l.theta_x.shape[0] < n_jp or l.theta_x.shape[1] != geom.Ly:
         raise ValueError("link field inconsistent with geometry")
-    flux = np.empty((n_jp, n_kp))
-    for j in range(n_jp):
-        for k in range(n_kp):
-            loop = tx[j, k] - tx[j, (k + 1) % geom.Ly]
-            if geom.is_torus and k == geom.Ly - 1:
-                loop += l.boundary_twist_y[(j + 1) % geom.Lx]
-                loop -= l.boundary_twist_y[j]
-            flux[j, k] = (loop / TWO_PI) % 1.0
-    return flux
+    tx = l.theta_x[:n_jp]
+    ty = y_link_phases(l, geom)
+    loop = (tx[:, :n_kp] - np.roll(tx, -1, axis=1)[:, :n_kp]
+            + np.roll(ty, -1, axis=0)[:n_jp] - ty[:n_jp])
+    return (loop / TWO_PI) % 1.0
 
 
 def field_strength(l: LinkField, geom: LatticeGeometry) -> np.ndarray:

@@ -162,10 +162,9 @@ def magnetic_translation_x(geom: LatticeGeometry, alpha: Fraction,
         raise ValueError(
             f"steps*alpha*Ly = {alpha * steps * geom.Ly} must be an integer")
     n = geom.n_sites
+    sites = np.arange(n)  # site (j, k) is j * Ly + k
     T = np.zeros((n, n))
-    for j in range(geom.Lx):
-        for k in range(geom.Ly):
-            T[geom.site_index(j + steps, k), geom.site_index(j, k)] = 1.0
+    T[(sites + steps * geom.Ly) % n, sites] = 1.0
     return T
 
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import Boundary, LatticeGeometry, LinkField
+from .lattice import LatticeGeometry, LinkField, y_link_phases
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -44,63 +44,36 @@ class SpectrumResult:
         return self.p / self.q
 
 
-def _hop_entries(geom: LatticeGeometry, links: LinkField, J: float, J2: float,
-                 species_offset_a: int, species_offset_b: int | None):
-    """Yield (row, col, amp) for the hopping terms of one bilayer copy.
-
-    species_offset_a indexes the x-hopping modes, species_offset_b the
-    y-hopping ones; pass the same offset twice for a single-species model
-    that hops in both directions (the target Peierls Hamiltonian).
+def _hops(geom: LatticeGeometry, phases: np.ndarray, axis: int, step: int):
+    """Hops from site (j,k) to the site `step` bonds further along `axis`
+    (0 = x, 1 = y), as flat (dst, src, phase) arrays ordered by source
+    site.  phases[j, k] is the phase of the bond leaving (j,k) along
+    `axis`; a hop carries the sum of the phases of the bonds it crosses.
     """
-    Lx, Ly = geom.Lx, geom.Ly
-    torus = geom.is_torus
-    if species_offset_b is None:
-        species_offset_b = species_offset_a
-    ns = geom.n_sites
-
-    def site(j, k):
-        return (j % Lx) * Ly + (k % Ly)
-
-    # x bonds, phase e^{i theta}
-    n_x = Lx if torus else Lx - 1
-    for j in range(n_x):
-        for k in range(Ly):
-            amp = -J * np.exp(1j * links.theta_x[j, k])
-            yield species_offset_a + site(j + 1, k), species_offset_a + site(j, k), amp
-    # y bonds, twist only at the wrap
-    n_y = Ly if torus else Ly - 1
-    for j in range(Lx):
-        for k in range(n_y):
-            phase = links.boundary_twist_y[j] if (torus and k == Ly - 1) else 0.0
-            amp = -J * np.exp(1j * phase)
-            yield species_offset_b + site(j, k + 1), species_offset_b + site(j, k), amp
-    if J2 > 0:
-        # second neighbors along the hopping axis; Peierls phase is the sum
-        # of the two traversed bond phases
-        n_x2 = Lx if torus else Lx - 2
-        for j in range(n_x2):
-            for k in range(Ly):
-                th = links.theta_x[j, k] + links.theta_x[(j + 1) % Lx, k]
-                yield (species_offset_a + site(j + 2, k),
-                       species_offset_a + site(j, k), -J2 * np.exp(1j * th))
-        n_y2 = Ly if torus else Ly - 2
-        for j in range(Lx):
-            for k in range(n_y2):
-                phase = 0.0
-                if torus:
-                    if k == Ly - 1 or k == Ly - 2:
-                        phase = links.boundary_twist_y[j]
-                yield (species_offset_b + site(j, k + 2),
-                       species_offset_b + site(j, k), -J2 * np.exp(1j * phase))
+    shape = (geom.Lx, geom.Ly)
+    L = shape[axis]
+    n = L if geom.is_torus else max(L - step, 0)
+    src = np.indices(shape[:axis] + (n,) + shape[axis + 1:])
+    shift = np.zeros((2, step + 1, 1, 1), dtype=int)
+    shift[axis, :, 0, 0] = np.arange(step + 1)
+    path = src[:, None] + shift  # (j, k) of the step + 1 sites on each hop
+    path[axis] %= L
+    phase = phases[tuple(path[:, :-1])].sum(axis=0)
+    site = (path[0] * geom.Ly + path[1]).reshape(step + 1, -1)
+    return site[-1], site[0], phase.ravel()
 
 
-def _assemble(entries, dim) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for r, c, a in entries:
-        rows += [r, c]
-        cols += [c, r]
-        vals += [a, np.conj(a)]
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+def _hermitian_csr(entries, dim) -> sp.csr_matrix:
+    """The matrix with amp at (dst, src) and conj(amp) at (src, dst) for
+    every (dst, src, amp) array triple in `entries`; repeats add up."""
+    dst = np.concatenate([e[0] for e in entries])
+    src = np.concatenate([e[1] for e in entries])
+    # conjugate each triple on its own: a real amp keeps a +0 imaginary part
+    vals = np.concatenate([np.stack([amp, np.conj(amp)], axis=1).ravel()
+                           for *_, amp in entries])
+    mat = sp.coo_matrix((vals, (np.stack([dst, src], axis=1).ravel(),
+                                np.stack([src, dst], axis=1).ravel())),
+                        shape=(dim, dim), dtype=complex)
     return mat.tocsr()
 
 
@@ -111,13 +84,16 @@ def build_bilayer_hamiltonian(
     and the on-site coupling omega mixes them.  Dimension 2*Lx*Ly."""
     _check_links(geom, links)
     ns = geom.n_sites
-    dim = 2 * ns
-
-    def entries():
-        yield from _hop_entries(geom, links, params.J, params.J2, 0, ns)
-        for s in range(ns):
-            yield ns + s, s, params.omega  # a^dag b + h.c. via symmetrization
-    return _assemble(entries(), dim)
+    theta_y = y_link_phases(links, geom)
+    terms = [(params.J, 1)] + ([(params.J2, 2)] if params.J2 > 0 else [])
+    entries = []
+    for t, step in terms:
+        for offset, phases, axis in ((0, links.theta_x, 0), (ns, theta_y, 1)):
+            dst, src, phase = _hops(geom, phases, axis, step)
+            entries.append((offset + dst, offset + src, -t * np.exp(1j * phase)))
+    sites = np.arange(ns)
+    entries.append((ns + sites, sites, np.full(ns, params.omega)))
+    return _hermitian_csr(entries, 2 * ns)
 
 
 def build_target_hamiltonian(
@@ -125,7 +101,10 @@ def build_target_hamiltonian(
 ) -> sp.csr_matrix:
     """Single-species Peierls matrix (the effective model), dimension Lx*Ly."""
     _check_links(geom, links)
-    return _assemble(_hop_entries(geom, links, J0, 0.0, 0, None), geom.n_sites)
+    hops = [_hops(geom, links.theta_x, 0, 1),
+            _hops(geom, y_link_phases(links, geom), 1, 1)]
+    return _hermitian_csr([(dst, src, -J0 * np.exp(1j * phase))
+                           for dst, src, phase in hops], geom.n_sites)
 
 
 def _check_links(geom: LatticeGeometry, links: LinkField):
@@ -166,8 +145,9 @@ def cd_decompose(H_s: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def bloch_block(alpha_p: int, alpha_q: int, params: ModelParams,
-                kx: float, ky: float) -> np.ndarray:
-    """Dense 2q x 2q magnetic Bloch block at (kx, ky).
+                kx, ky) -> np.ndarray:
+    """Dense 2q x 2q magnetic Bloch blocks at (kx, ky), shape (..., 2q, 2q)
+    for k arrays that broadcast to shape (...); scalar k give one block.
 
     Layout: a-modes m=0..q-1 then b-modes m=0..q-1, m the row index inside
     the magnetic cell.  a is diagonal with -2J cos(kx + 2 pi alpha m) (plus
@@ -177,22 +157,25 @@ def bloch_block(alpha_p: int, alpha_q: int, params: ModelParams,
     q = alpha_q
     alpha = alpha_p / alpha_q
     J, w, J2 = params.J, params.omega, params.J2
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float),
+                                 np.asarray(ky, dtype=float))
     m = np.arange(q)
-    H = np.zeros((2 * q, 2 * q), dtype=complex)
-    diag_a = -2.0 * J * np.cos(kx + 2.0 * np.pi * alpha * m)
+    H = np.zeros(kx.shape + (2 * q, 2 * q), dtype=complex)
+    ka = kx[..., None] + 2.0 * np.pi * alpha * m
+    diag_a = -2.0 * J * np.cos(ka)
     if J2 > 0:
-        diag_a += -2.0 * J2 * np.cos(2.0 * (kx + 2.0 * np.pi * alpha * m))
-    H[np.arange(q), np.arange(q)] = diag_a
-    for i in range(q):
-        jn = (i + 1) % q
-        H[q + jn, q + i] += -J * np.exp(1j * ky)
-        H[q + i, q + jn] += -J * np.exp(-1j * ky)
-        if J2 > 0:
-            j2 = (i + 2) % q
-            H[q + j2, q + i] += -J2 * np.exp(2j * ky)
-            H[q + i, q + j2] += -J2 * np.exp(-2j * ky)
-    H[np.arange(q), q + np.arange(q)] = w
-    H[q + np.arange(q), np.arange(q)] = w
+        diag_a += -2.0 * J2 * np.cos(2.0 * ka)
+    H[..., m, m] = diag_a
+    # passes in the order fwd-J, bwd-J, fwd-J2, bwd-J2: terms share entries
+    # only for q <= 4, and at q = 1, where all four land on one entry, they
+    # add up in this order
+    terms = [(J, 1)] + ([(J2, 2)] if J2 > 0 else [])
+    for t, step in terms:
+        n = q + (m + step) % q
+        H[..., n, q + m] += (-t * np.exp(1j * step * ky))[..., None]
+        H[..., q + m, n] += (-t * np.exp(-1j * step * ky))[..., None]
+    H[..., m, q + m] = w
+    H[..., q + m, m] = w
     return H
 
 
@@ -207,13 +190,8 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
         raise ValueError(f"{p}/{q} is not in lowest terms")
     kx_grid = np.atleast_1d(np.asarray(kx_grid, dtype=float))
     ky_grid = np.atleast_1d(np.asarray(ky_grid, dtype=float))
-    blocks = np.empty((len(kx_grid) * len(ky_grid), 2 * q, 2 * q), dtype=complex)
-    i = 0
-    for kx in kx_grid:
-        for ky in ky_grid:
-            blocks[i] = bloch_block(p, q, params, kx, ky)
-            i += 1
-    evals = np.linalg.eigvalsh(blocks).ravel()
+    blocks = bloch_block(p, q, params, kx_grid[:, None], ky_grid[None, :])
+    evals = np.linalg.eigvalsh(blocks.reshape(-1, 2 * q, 2 * q)).ravel()
     evals.sort()
     return SpectrumResult(p=p, q=q, eigenvalues=evals,
                           provenance=Provenance.BLOCH_BLOCKS)
@@ -265,10 +243,3 @@ def butterfly_scan(q_max: int, params: ModelParams,
     kx = 2.0 * np.pi * np.arange(resolution) / resolution
     ky = 2.0 * np.pi * np.arange(resolution) / resolution
     return [bloch_block_spectrum(a, params, kx, ky) for a in farey_alphas(q_max)]
-
-
-def spectra_to_csv_rows(results: list[SpectrumResult]):
-    """Deterministic (p, q, alpha, eigenvalue) rows sorted by (alpha, E)."""
-    for res in sorted(results, key=lambda r: (r.alpha,)):
-        for e in res.eigenvalues:
-            yield res.p, res.q, res.alpha, float(e)

@@ -1,0 +1,311 @@
+"""The array code of the single-particle layer against the loops it replaced.
+
+The reference functions below are the earlier implementations: one Python
+loop per bond for the hopping matrices, per k-point for the Bloch blocks,
+per plaquette for the fluxes and per row for the CSV and flux writers.
+"""
+
+import csv
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gaugelatt.cli import main
+from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
+                               PhasePattern, links_from_phases, plaquette_flux,
+                               uniform_phase_pattern)
+from gaugelatt.laughlin import magnetic_translation_x
+from gaugelatt.singleparticle import (ModelParams, bloch_block,
+                                      build_bilayer_hamiltonian,
+                                      build_target_hamiltonian, farey_alphas)
+
+
+# ---------------------------------------------------------------- references
+
+def reference_hop_entries(geom, links, J, J2, species_offset_a,
+                          species_offset_b):
+    Lx, Ly = geom.Lx, geom.Ly
+    torus = geom.is_torus
+    if species_offset_b is None:
+        species_offset_b = species_offset_a
+
+    def site(j, k):
+        return (j % Lx) * Ly + (k % Ly)
+
+    n_x = Lx if torus else Lx - 1
+    for j in range(n_x):
+        for k in range(Ly):
+            amp = -J * np.exp(1j * links.theta_x[j, k])
+            yield species_offset_a + site(j + 1, k), species_offset_a + site(j, k), amp
+    n_y = Ly if torus else Ly - 1
+    for j in range(Lx):
+        for k in range(n_y):
+            phase = links.boundary_twist_y[j] if (torus and k == Ly - 1) else 0.0
+            amp = -J * np.exp(1j * phase)
+            yield species_offset_b + site(j, k + 1), species_offset_b + site(j, k), amp
+    if J2 > 0:
+        n_x2 = Lx if torus else Lx - 2
+        for j in range(n_x2):
+            for k in range(Ly):
+                th = links.theta_x[j, k] + links.theta_x[(j + 1) % Lx, k]
+                yield (species_offset_a + site(j + 2, k),
+                       species_offset_a + site(j, k), -J2 * np.exp(1j * th))
+        n_y2 = Ly if torus else Ly - 2
+        for j in range(Lx):
+            for k in range(n_y2):
+                phase = 0.0
+                if torus:
+                    if k == Ly - 1 or k == Ly - 2:
+                        phase = links.boundary_twist_y[j]
+                yield (species_offset_b + site(j, k + 2),
+                       species_offset_b + site(j, k), -J2 * np.exp(1j * phase))
+
+
+def reference_assemble(entries, dim):
+    rows, cols, vals = [], [], []
+    for r, c, a in entries:
+        rows += [r, c]
+        cols += [c, r]
+        vals += [a, np.conj(a)]
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+    return mat.tocsr()
+
+
+def reference_bilayer(geom, links, params):
+    ns = geom.n_sites
+
+    def entries():
+        yield from reference_hop_entries(geom, links, params.J, params.J2, 0, ns)
+        for s in range(ns):
+            yield ns + s, s, params.omega
+    return reference_assemble(entries(), 2 * ns)
+
+
+def reference_target(geom, links, J0):
+    return reference_assemble(
+        reference_hop_entries(geom, links, J0, 0.0, 0, None), geom.n_sites)
+
+
+def reference_bloch_block(alpha_p, alpha_q, params, kx, ky):
+    q = alpha_q
+    alpha = alpha_p / alpha_q
+    J, w, J2 = params.J, params.omega, params.J2
+    m = np.arange(q)
+    H = np.zeros((2 * q, 2 * q), dtype=complex)
+    diag_a = -2.0 * J * np.cos(kx + 2.0 * np.pi * alpha * m)
+    if J2 > 0:
+        diag_a += -2.0 * J2 * np.cos(2.0 * (kx + 2.0 * np.pi * alpha * m))
+    H[np.arange(q), np.arange(q)] = diag_a
+    for i in range(q):
+        jn = (i + 1) % q
+        H[q + jn, q + i] += -J * np.exp(1j * ky)
+        H[q + i, q + jn] += -J * np.exp(-1j * ky)
+        if J2 > 0:
+            j2 = (i + 2) % q
+            H[q + j2, q + i] += -J2 * np.exp(2j * ky)
+            H[q + i, q + j2] += -J2 * np.exp(-2j * ky)
+    H[np.arange(q), q + np.arange(q)] = w
+    H[q + np.arange(q), np.arange(q)] = w
+    return H
+
+
+def reference_plaquette_flux(l, geom):
+    tx = l.theta_x
+    n_jp = geom.Lx if geom.is_torus else geom.Lx - 1
+    n_kp = geom.Ly if geom.is_torus else geom.Ly - 1
+    flux = np.empty((n_jp, n_kp))
+    for j in range(n_jp):
+        for k in range(n_kp):
+            loop = tx[j, k] - tx[j, (k + 1) % geom.Ly]
+            if geom.is_torus and k == geom.Ly - 1:
+                loop += l.boundary_twist_y[(j + 1) % geom.Lx]
+                loop -= l.boundary_twist_y[j]
+            flux[j, k] = (loop / (2.0 * math.pi)) % 1.0
+    return flux
+
+
+def reference_butterfly_csv(path, q_max, params, resolution):
+    """Blocks one k-point at a time, rows through a per-row generator."""
+    ks = 2.0 * np.pi * np.arange(resolution) / resolution
+    results = []
+    for a in farey_alphas(q_max):
+        p, q = a.numerator, a.denominator
+        blocks = np.array([reference_bloch_block(p, q, params, kx, ky)
+                           for kx in ks for ky in ks])
+        evals = np.linalg.eigvalsh(blocks).ravel()
+        evals.sort()
+        results.append((p, q, evals))
+
+    def rows():
+        for p, q, evals in sorted(results, key=lambda r: (r[0] / r[1],)):
+            for e in evals:
+                yield p, q, p / q, float(e)
+
+    with open(path, "w") as fh:
+        fh.write("p,q,alpha,eigenvalue\n")
+        for p, q, alpha, e in rows():
+            fh.write(f"{p},{q},{alpha:.12g},{e:.12g}\n")
+
+
+def reference_magnetic_translation_x(geom, steps):
+    n = geom.n_sites
+    T = np.zeros((n, n))
+    for j in range(geom.Lx):
+        for k in range(geom.Ly):
+            T[((j + steps) % geom.Lx) * geom.Ly + k, j * geom.Ly + k] = 1.0
+    return T
+
+
+def reference_pattern_csv(phi, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "k", "phi"])
+        for j in range(phi.shape[0]):
+            for k in range(phi.shape[1]):
+                writer.writerow([j, k, f"{phi[j, k]:.12g}"])
+
+
+# ------------------------------------------------------------------ helpers
+
+def random_links(geom, seed):
+    rng = np.random.default_rng(seed)
+    n_x = geom.Lx if geom.is_torus else geom.Lx - 1
+    return LinkField(theta_x=rng.uniform(0, 2 * np.pi, (n_x, geom.Ly)),
+                     boundary_twist_y=rng.uniform(0, 2 * np.pi, geom.Lx))
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_csr(A, B):
+    for attr in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(A, attr), getattr(B, attr))
+
+
+geometries = st.builds(
+    lambda Lx, Ly, torus: LatticeGeometry(
+        Lx, Ly, boundary=Boundary.MAGNETIC_TORUS if torus else Boundary.OPEN),
+    st.integers(1, 7), st.integers(1, 7), st.booleans())
+
+
+# --------------------------------------------------------------- properties
+
+class TestHopRule:
+    @settings(max_examples=150, deadline=None)
+    @given(geom=geometries, seed=st.integers(0, 2**32 - 1),
+           J=st.floats(0.1, 3.0), omega=st.floats(0.0, 12.0),
+           J2=st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    def test_bilayer_csr_is_bit_identical(self, geom, seed, J, omega, J2):
+        # the reference gives the torus Ly = 1 J2 hop one wrap twist
+        assume(not (geom.is_torus and geom.Ly == 1 and J2 > 0))
+        links = random_links(geom, seed)
+        params = ModelParams(J=J, omega=omega, J2=J2)
+        assert_same_csr(build_bilayer_hamiltonian(geom, links, params),
+                        reference_bilayer(geom, links, params))
+
+    @settings(max_examples=80, deadline=None)
+    @given(geom=geometries, seed=st.integers(0, 2**32 - 1),
+           J0=st.floats(0.1, 3.0))
+    def test_target_csr_is_bit_identical(self, geom, seed, J0):
+        links = random_links(geom, seed)
+        assert_same_csr(build_target_hamiltonian(geom, links, J0),
+                        reference_target(geom, links, J0))
+
+    def test_ground_size_is_bit_identical(self):
+        geom = LatticeGeometry(12, 12, boundary=Boundary.MAGNETIC_TORUS)
+        alpha = Fraction(1, 36)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        for J2 in (0.0, 0.1):
+            params = ModelParams(J=1.0, omega=10.0, J2=J2)
+            assert_same_csr(build_bilayer_hamiltonian(geom, links, params),
+                            reference_bilayer(geom, links, params))
+
+
+class TestBlochBlocks:
+    @settings(max_examples=120, deadline=None)
+    @given(q=st.integers(1, 12), p_seed=st.integers(0, 10**6),
+           nx=st.integers(1, 4), ny=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), omega=st.floats(0.0, 12.0),
+           J2=st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    def test_blocks_are_bit_identical(self, q, p_seed, nx, ny, seed, omega, J2):
+        coprime = [p for p in range(q + 1) if math.gcd(p, q) == 1]
+        p = coprime[p_seed % len(coprime)]
+        rng = np.random.default_rng(seed)
+        kx = rng.uniform(-2 * np.pi, 2 * np.pi, (nx, 1))
+        ky = rng.uniform(-2 * np.pi, 2 * np.pi, (1, ny))
+        params = ModelParams(J=1.0, omega=omega, J2=J2)
+        blocks = bloch_block(p, q, params, kx, ky)
+        assert blocks.shape == (nx, ny, 2 * q, 2 * q)
+        ref = np.array([[reference_bloch_block(p, q, params, x, y)
+                         for y in ky[0]] for x in kx[:, 0]])
+        assert_same_bits(blocks, ref)
+
+    def test_scalar_k_gives_one_block(self):
+        params = ModelParams(J=1.0, omega=0.5, J2=0.1)
+        block = bloch_block(2, 5, params, 0.3, -1.1)
+        assert block.shape == (10, 10)
+        assert_same_bits(block, reference_bloch_block(2, 5, params, 0.3, -1.1))
+
+
+class TestPlaquetteFlux:
+    @settings(max_examples=150, deadline=None)
+    @given(geom=geometries, seed=st.integers(0, 2**32 - 1))
+    def test_flux_is_bit_identical(self, geom, seed):
+        links = random_links(geom, seed)
+        assert_same_bits(plaquette_flux(links, geom),
+                         reference_plaquette_flux(links, geom))
+
+
+class TestWriters:
+    def test_butterfly_csv_is_byte_identical(self, tmp_path, capsys):
+        out, ref = tmp_path / "b.csv", tmp_path / "ref.csv"
+        assert main(["butterfly", "--q-max", "7", "--resolution", "3",
+                     "--omega", "2.5", "--j2", "0.1", "--output", str(out)]) == 0
+        reference_butterfly_csv(ref, 7, ModelParams(J=1.0, omega=2.5, J2=0.1), 3)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_pattern_csv_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        phi = rng.uniform(-20, 20, (5, 3))
+        phi[0, 0] = -0.0
+        pattern = PhasePattern(phi=phi)
+        pattern.write_csv(tmp_path / "new.csv")
+        reference_pattern_csv(pattern.phi, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("Lx,Ly,torus", [(4, 6, True), (5, 3, False),
+                                             (1, 4, False)])
+    def test_flux_stdout_is_byte_identical(self, tmp_path, capsys, Lx, Ly,
+                                           torus):
+        geom = LatticeGeometry(Lx, Ly, boundary=Boundary.MAGNETIC_TORUS
+                               if torus else Boundary.OPEN)
+        alpha = Fraction(1, Lx * Ly) if torus else None
+        pattern = PhasePattern(
+            phi=np.random.default_rng(Lx).uniform(0, 7, (Lx, Ly)))
+        path = tmp_path / "pattern.json"
+        path.write_text(pattern.to_json(geom))
+        argv = ["flux", str(path)] + (["--alpha", str(alpha)] if torus else [])
+        assert main(argv) == 0
+        flux = plaquette_flux(links_from_phases(pattern, geom, alpha=alpha), geom)
+        expected = "".join(f"{j},{k},{flux[j, k]:.12g}\n"
+                           for j in range(flux.shape[0])
+                           for k in range(flux.shape[1]))
+        assert capsys.readouterr().out == expected
+
+
+class TestMagneticTranslation:
+    @pytest.mark.parametrize("Lx,Ly,steps", [(4, 3, 1), (4, 3, 2), (5, 2, -3),
+                                             (3, 4, 7), (1, 5, 1), (6, 1, -1)])
+    def test_matches_per_site_loop(self, Lx, Ly, steps):
+        geom = LatticeGeometry(Lx, Ly, boundary=Boundary.MAGNETIC_TORUS)
+        assert_same_bits(magnetic_translation_x(geom, Fraction(0), steps),
+                         reference_magnetic_translation_x(geom, steps))

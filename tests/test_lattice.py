@@ -113,6 +113,12 @@ class TestPlaquetteFlux:
         np.testing.assert_allclose(field_strength(links, geom), 1 / 16,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 5)])
+    def test_link_shape_mismatch_rejected(self, shape):
+        links = LinkField(theta_x=np.zeros(shape), boundary_twist_y=np.zeros(4))
+        with pytest.raises(ValueError, match="inconsistent"):
+            plaquette_flux(links, torus(4, 4))
+
     def test_total_flux_integer_on_torus(self):
         geom = torus(8, 8)
         alpha = Fraction(1, 16)

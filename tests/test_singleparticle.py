@@ -67,6 +67,18 @@ class TestBilayerHamiltonian:
                                       ModelParams(J=1.0, omega=3.0, J2=0.1))
         assert hermiticity_defect(H) < 1e-14
 
+    def test_second_neighbour_y_hop_crosses_the_wrap_twice(self):
+        # on an Ly = 1 torus the J2 y hop goes round the torus twice, so it
+        # picks up twice the wrap twist -2 pi alpha j: the b diagonal is
+        # -2J cos(theta_j) - 2 J2 cos(2 theta_j) with theta_j = -pi j / 2
+        geom = torus(4, 1)
+        links = uniform_links(Fraction(1, 4), geom)
+        H = build_bilayer_hamiltonian(geom, links,
+                                      ModelParams(J=1.0, omega=0.0, J2=0.1))
+        np.testing.assert_allclose(H.diagonal()[4:].real,
+                                   [-2.2, 0.2, 1.8, 0.2], atol=1e-14)
+        assert np.abs(H.diagonal().imag).max() == 0.0
+
     def test_shape_mismatch_rejected(self):
         geom = torus(4, 4)
         links = uniform_links(Fraction(1, 4), torus(6, 4))
