@@ -3,30 +3,9 @@
 Pipeline: laser phase pattern -> link phases and plaquette fluxes ->
 bilayer tight-binding spectra (Hofstadter scans) -> interacting few-boson
 ground states with quantum-Hall diagnostics -> beam-array synthesis for a
-target gauge field, plus trap-design calculators.
+target gauge field, plus trap-design calculators.  The API lives in the
+submodules (lattice, singleparticle, manybody, laughlin, beamsynth,
+trapdesign, cli).
 """
-
-from .lattice import (Boundary, LatticeGeometry, LinkField, PhasePattern,
-                      VectorPotentialField, field_strength, links_from_phases,
-                      links_from_vector_potential, plaquette_flux, total_flux,
-                      uniform_phase_pattern)
-from .singleparticle import (ModelParams, Provenance, SpectrumResult,
-                             bloch_block_spectrum, build_bilayer_hamiltonian,
-                             build_target_hamiltonian, butterfly_scan,
-                             cd_decompose, commensurate_bloch_spectrum,
-                             farey_alphas, finite_lattice_spectrum)
-from .manybody import (FockBasis, ManyBodyState, MotionalDensityMatrix,
-                       build_fock_basis, build_manybody_hamiltonian,
-                       c_mode_number, lowest_eigenstates,
-                       motional_density_matrix, purity, second_quantize)
-from .laughlin import (LaughlinSubspace, ThetaParams, laughlin_lattice_states,
-                       laughlin_overlap, magnetic_translation_x, theta1,
-                       theta_with_characteristics)
-from .trapdesign import (StarkInputs, TiltGeometry, field_profiles,
-                         hopping_rate, lattice_spacing, potential_ratio,
-                         raman_parity_integral)
-from .beamsynth import (BeamArray, ModeFunction, OverlapMatrix, WannierModel,
-                        forward_check, overlap_matrix, solve_beams,
-                        target_from_pattern, wannier_width)
 
 __version__ = "0.1.0"

@@ -19,12 +19,11 @@ class WannierModel:
 
     sigma_a: float
     sigma_b: float
-    r0: float = 1.0
 
     def __post_init__(self):
         if self.sigma_a <= 0 or self.sigma_b <= 0:
             raise ValueError("Wannier widths must be positive")
-        if self.sigma_a >= self.r0 or self.sigma_b >= self.r0:
+        if self.sigma_a >= 1.0 or self.sigma_b >= 1.0:
             raise ValueError("Wannier widths must be below the lattice spacing")
 
 
@@ -72,7 +71,6 @@ class OverlapMatrix:
     ky: np.ndarray  # (Ly, Ly)
     scale: float
     cutoff_radius: float
-    geom: LatticeGeometry
 
     @property
     def T(self) -> np.ndarray:
@@ -80,12 +78,12 @@ class OverlapMatrix:
         return self.scale * np.kron(self.kx, self.ky)
 
 
-def wannier_width(V0: float, r0: float = 1.0) -> float:
+def wannier_width(V0: float) -> float:
     """Harmonic ground-state width of a sinusoidal well of depth V0 (recoil
-    units): sigma = (r0/pi) (Er/V0)^(1/4)."""
+    units): sigma = (1/pi) (Er/V0)^(1/4)."""
     if V0 <= 0:
         raise ValueError("potential depth must be positive")
-    return (r0 / math.pi) * V0 ** -0.25
+    return (1.0 / math.pi) * V0 ** -0.25
 
 
 def overlap_matrix(geom: LatticeGeometry, wm: WannierModel,
@@ -104,7 +102,7 @@ def overlap_matrix(geom: LatticeGeometry, wm: WannierModel,
     pref = n_ab * n_beam * math.pi / inv_tot
     decay = inv_s2 * inv_w2 / inv_tot
     lx, ly = geom.Lx, geom.Ly
-    x = np.arange(max(lx, ly)) * geom.r0
+    x = np.arange(max(lx, ly), dtype=float)
     k = np.exp(-decay * (x[:, None] - x[None, :]) ** 2)
     k[pref * k < drop_tol] = 0.0
     k.flags.writeable = False  # kx and ky are views of it
@@ -113,7 +111,7 @@ def overlap_matrix(geom: LatticeGeometry, wm: WannierModel,
     kept = d2[pref * np.exp(-decay * d2) >= drop_tol]
     cutoff = float(np.sqrt(kept.max())) if kept.size else 0.0
     return OverlapMatrix(kx=k[:lx, :lx], ky=k[:ly, :ly], scale=pref,
-                         cutoff_radius=cutoff, geom=geom)
+                         cutoff_radius=cutoff)
 
 
 def _apply(T: OverlapMatrix, x: np.ndarray) -> np.ndarray:
@@ -127,8 +125,7 @@ def condition_number(T: OverlapMatrix) -> float:
     return float(np.linalg.cond(T.kx) * np.linalg.cond(T.ky))
 
 
-def solve_beams(T: OverlapMatrix, target: np.ndarray,
-                cond_limit: float = 1e12) -> tuple[BeamArray, dict]:
+def solve_beams(T: OverlapMatrix, target: np.ndarray) -> tuple[BeamArray, dict]:
     """Solve T x = target for the beam weights one axis at a time,
     X = kx^-1 t ky^-T / scale.  Returns the beam array plus diagnostics
     (condition number, relative residual, achieved amplitude spread)."""
@@ -137,9 +134,9 @@ def solve_beams(T: OverlapMatrix, target: np.ndarray,
     if target.size != lx * ly:
         raise ValueError("overlap matrix and target sizes do not match")
     cond = condition_number(T)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise RuntimeError(
-            f"overlap matrix condition number {cond:.3e} exceeds {cond_limit:.0e}; "
+            f"overlap matrix condition number {cond:.3e} exceeds 1e+12; "
             "beam waist too large for a stable inversion")
     Y = np.linalg.solve(T.kx, target.reshape(lx, ly))
     x = np.linalg.solve(T.ky, Y.T).T.ravel() / T.scale
@@ -163,6 +160,6 @@ def forward_check(T: OverlapMatrix, beams: BeamArray) -> np.ndarray:
     return _apply(T, beams.weights)
 
 
-def target_from_pattern(p: PhasePattern, amplitude: float = 1.0) -> np.ndarray:
-    """Uniform-amplitude complex target from a site phase pattern."""
-    return (amplitude * np.exp(1j * p.phi)).ravel()
+def target_from_pattern(p: PhasePattern) -> np.ndarray:
+    """Unit-amplitude complex target from a site phase pattern."""
+    return np.exp(1j * p.phi).ravel()

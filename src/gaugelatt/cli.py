@@ -34,19 +34,20 @@ def cmd_butterfly(args) -> int:
     results = singleparticle.butterfly_scan(args.q_max, params,
                                             resolution=args.resolution)
     out = Path(args.output)
+    count, lo, hi = 0, math.inf, -math.inf
     with open(out, "w") as fh:
         fh.write("p,q,alpha,eigenvalue\n")
-        for r in results:  # ordered by alpha, each sorted by energy
+        # one flux at a time, ordered by alpha, each sorted by energy
+        for r in results:
             row = f"{r.p},{r.q},{r.alpha:.12g},{{:.12g}}\n".format
             fh.writelines(map(row, r.eigenvalues.tolist()))
+            count += len(r.eigenvalues)
+            lo, hi = min(lo, r.eigenvalues.min()), max(hi, r.eigenvalues.max())
     plot = out.with_suffix(".plot.txt")
     with open(plot, "w") as fh:
         fh.write("x: energy/J\ny: alpha\nsource: " + out.name + "\n"
                  "columns: eigenvalue vs alpha\n")
-    lo = min(r.eigenvalues.min() for r in results)
-    hi = max(r.eigenvalues.max() for r in results)
-    print(f"wrote {out} ({sum(len(r.eigenvalues) for r in results)} eigenvalues, "
-          f"range [{lo:.6f}, {hi:.6f}] J)")
+    print(f"wrote {out} ({count} eigenvalues, range [{lo:.6f}, {hi:.6f}] J)")
     return 0
 
 
@@ -109,11 +110,9 @@ def cmd_synth(args) -> int:
             pat = lattice.PhasePattern(phi=np.pi * ((j + k) % 2))
         else:
             return _fail(f"unknown pattern '{args.pattern}'")
-    wm = beamsynth.WannierModel(
-        sigma_a=beamsynth.wannier_width(args.depth_a, geom.r0),
-        sigma_b=beamsynth.wannier_width(args.depth_b, geom.r0),
-        r0=geom.r0)
-    mf = beamsynth.ModeFunction(w=args.waist * geom.r0)
+    wm = beamsynth.WannierModel(sigma_a=beamsynth.wannier_width(args.depth_a),
+                                sigma_b=beamsynth.wannier_width(args.depth_b))
+    mf = beamsynth.ModeFunction(w=args.waist)
     T = beamsynth.overlap_matrix(geom, wm, mf)
     target = beamsynth.target_from_pattern(pat)
     beams, diag = beamsynth.solve_beams(T, target)

@@ -1,6 +1,7 @@
 """Lattice geometry, site phase patterns, link phases and plaquette fluxes.
 
-Conventions: phases are stored in radians, canonicalized to [0, 2pi).
+Conventions: lengths are in units of the lattice spacing, and phases are
+stored in radians, canonicalized to [0, 2pi).
 The x-link phase theta[j, k] lives on the bond (j,k) -> (j+1,k); y-links
 carry no phase except the wrap links of a magnetic torus, which carry a
 per-column twist so that every plaquette (wrap plaquettes included) sees
@@ -39,14 +40,11 @@ def _canonical(phases):
 class LatticeGeometry:
     Lx: int
     Ly: int
-    r0: float = 1.0
     boundary: Boundary = Boundary.OPEN
 
     def __post_init__(self):
         if self.Lx < 1 or self.Ly < 1:
             raise ValueError(f"need Lx, Ly >= 1, got {self.Lx}x{self.Ly}")
-        if self.r0 <= 0:
-            raise ValueError("lattice spacing must be positive")
 
     @property
     def n_sites(self) -> int:
@@ -195,9 +193,9 @@ def links_from_vector_potential(
     n_rows = geom.Lx if geom.is_torus else geom.Lx - 1
     theta = np.empty((n_rows, geom.Ly))
     for j in range(n_rows):
-        x0, x1 = j * geom.r0, (j + 1) * geom.r0
+        x0, x1 = float(j), float(j + 1)
         for k in range(geom.Ly):
-            y = k * geom.r0
+            y = float(k)
             f = lambda x: v.A(x, y)
             val, _ = quad(f, x0, x1, epsabs=1e-13, epsrel=1e-13)
             if not math.isfinite(val):

@@ -60,7 +60,6 @@ class LaughlinSubspace:
 
     states: tuple  # two complex vectors over the motional Fock basis
     basis: FockBasis
-    gauge_tag: str
 
     def product_space_states(self) -> list[np.ndarray]:
         return [symmetric_fock_to_product(v, self.basis) for v in self.states]
@@ -69,10 +68,10 @@ class LaughlinSubspace:
 # Center-of-mass characteristics for the two degenerate states, matched to
 # the lattice Landau gauge used throughout (x-bond phases 2 pi alpha k with
 # the per-column wrap twist).  Fixed by the magnetic-translation closure and
-# ground-space overlap checks in the test suite.
+# ground-space overlap checks in the test suite.  The amplitudes are
+# complex-conjugated for the same gauge.
 _COM_A = (0.0, 0.5)
 _COM_B = 0.0
-_CONJUGATE = True
 
 
 def laughlin_lattice_states(N: int, alpha: Fraction,
@@ -82,7 +81,7 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
 
     The construction is the center-of-mass theta factor (two characteristics)
     times the squared odd-theta relative factor times the Landau-gauge
-    Gaussian, with magnetic length l = r0 / sqrt(2 pi alpha).
+    Gaussian, with magnetic length l = 1 / sqrt(2 pi alpha) lattice spacings.
     """
     alpha = Fraction(alpha)
     if not geom.is_torus:
@@ -95,17 +94,15 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
             f"filling N/(alpha Lx Ly) = {N}/{int(n_phi)} must be 1/2")
     m = 2
     a = float(alpha)
-    r0 = geom.r0
-    L1 = geom.Lx * r0
-    L2 = geom.Ly * r0
+    L1, L2 = float(geom.Lx), float(geom.Ly)
     tau = 1j * L2 / L1
-    ell2 = r0 * r0 / (2.0 * math.pi * a)
+    ell2 = 1.0 / (2.0 * math.pi * a)
 
     basis = build_fock_basis(geom.n_sites, N)
-    # site index s = j*Ly + k -> position (j, k) * r0
+    # site index s = j*Ly + k -> position (j, k)
     j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
-    zs = ((j + 1j * k) * r0)[basis.modes]
-    ys = (k * r0)[basis.modes]
+    zs = (j + 1j * k)[basis.modes]
+    ys = k[basis.modes]
     p, q = np.triu_indices(N, 1)
     relative = np.prod(theta1(math.pi * (zs[:, p] - zs[:, q]) / L1, tau) ** m,
                        axis=1)
@@ -116,10 +113,8 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     vectors = []
     for s in range(2):
         com = ThetaParams(tau=m * tau, a=_COM_A[s], b=_COM_B)
-        amps = theta_with_characteristics(m * math.pi * zs.sum(axis=1) / L1,
-                                          com) * weight
-        if _CONJUGATE:
-            amps = np.conj(amps)
+        amps = np.conj(theta_with_characteristics(
+            m * math.pi * zs.sum(axis=1) / L1, com) * weight)
         amps /= np.linalg.norm(amps)
         vectors.append(amps)
 
@@ -130,18 +125,15 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     if nrm < 1e-8:
         raise RuntimeError("Laughlin pair degenerate after projection")
     v1 = v1 / nrm
-    tag = (f"landau_gauge;theta_x=2*pi*alpha*k;com_a={_COM_A};com_b={_COM_B};"
-           f"conjugate={_CONJUGATE}")
-    return LaughlinSubspace(states=(v0, v1), basis=basis, gauge_tag=tag)
+    return LaughlinSubspace(states=(v0, v1), basis=basis)
 
 
-def laughlin_overlap(rho: MotionalDensityMatrix, sub: LaughlinSubspace,
-                     warn_on_collapse: bool = True) -> float:
+def laughlin_overlap(rho: MotionalDensityMatrix, sub: LaughlinSubspace) -> float:
     """Tr(P_L rho P_L); depends only on the two-dimensional subspace."""
     if rho.n_sites != sub.basis.M or rho.N != sub.basis.N:
         raise ValueError("density matrix and subspace dimensions do not match")
     val = subspace_overlap(rho, sub.product_space_states())
-    if warn_on_collapse and val < 0.5:
+    if val < 0.5:
         warnings.warn(
             "Laughlin overlap below 0.5: likely a gauge-convention mismatch "
             "between the link field and the Laughlin construction",

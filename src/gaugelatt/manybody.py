@@ -165,7 +165,7 @@ def build_manybody_hamiltonian(
     if params.U != 0.0:
         # sum_m n_m(n_m-1) = 2 #{p<q: m_p = m_q}; sum_x n_a n_b = #{m_q = m_p + ns}
         modes = basis.modes
-        val = np.zeros(basis.size, dtype=np.int64)
+        val = np.zeros(basis.size)  # float, so an integer U gives a float diagonal
         for p in range(basis.N):
             for q in range(p + 1, basis.N):
                 val += 2 * (modes[:, q] == modes[:, p])
@@ -181,10 +181,10 @@ class ManyBodyState:
     basis: FockBasis
 
 
-def lowest_eigenstates(H: sp.spmatrix, count: int, basis: FockBasis,
-                       tol_factor: float = 1e-9,
-                       maxiter: int | None = None) -> list[ManyBodyState]:
-    """The `count` lowest eigenpairs of a sparse Hermitian matrix.
+def lowest_eigenstates(H: sp.spmatrix, count: int,
+                       basis: FockBasis) -> list[ManyBodyState]:
+    """The `count` lowest eigenpairs of a sparse Hermitian matrix, each with
+    residual at most 1e-9 * max(||H||_inf, 1).
 
     Degenerate subspaces come back as some orthonormal basis; downstream
     diagnostics must not depend on the choice.
@@ -201,10 +201,9 @@ def lowest_eigenstates(H: sp.spmatrix, count: int, basis: FockBasis,
         # a fixed start vector makes identical runs give identical results
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        evals, evecs = spla.eigsh(H, k=k, which="SA", maxiter=maxiter,
-                                  tol=tol_factor / 10,
+        evals, evecs = spla.eigsh(H, k=k, which="SA", tol=1e-10,
                                   v0=v0 if np.iscomplexobj(H) else v0.real)
-    tol = tol_factor * max(scale, 1.0)
+    tol = 1e-9 * max(scale, 1.0)
     order = np.argsort(evals)
     out = []
     for idx in order[:count]:

@@ -3,15 +3,16 @@ Hofstadter spectra (magnetic Bloch blocks and finite lattices)."""
 
 from __future__ import annotations
 
-import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import LatticeGeometry, LinkField, y_link_phases
+from .lattice import (LatticeGeometry, LinkField, links_from_phases,
+                      uniform_phase_pattern, y_link_phases)
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -27,17 +28,11 @@ class ModelParams:
             raise ValueError("omega and J2 must be nonnegative")
 
 
-class Provenance(enum.Enum):
-    BLOCH_BLOCKS = "bloch_blocks"
-    FINITE_LATTICE = "finite_lattice"
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     p: int
     q: int
     eigenvalues: np.ndarray  # sorted ascending, units of J
-    provenance: Provenance
 
     @property
     def alpha(self) -> float:
@@ -193,8 +188,7 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     blocks = bloch_block(p, q, params, kx_grid[:, None], ky_grid[None, :])
     evals = np.linalg.eigvalsh(blocks.reshape(-1, 2 * q, 2 * q)).ravel()
     evals.sort()
-    return SpectrumResult(p=p, q=q, eigenvalues=evals,
-                          provenance=Provenance.BLOCH_BLOCKS)
+    return SpectrumResult(p=p, q=q, eigenvalues=evals)
 
 
 def commensurate_bloch_spectrum(alpha: Fraction, params: ModelParams,
@@ -213,15 +207,13 @@ def commensurate_bloch_spectrum(alpha: Fraction, params: ModelParams,
 def finite_lattice_spectrum(alpha: Fraction, params: ModelParams,
                             geom: LatticeGeometry) -> SpectrumResult:
     """Dense diagonalization of the bilayer matrix on a magnetic torus."""
-    from .lattice import links_from_phases, uniform_phase_pattern
-
     alpha = Fraction(alpha)
     pat = uniform_phase_pattern(alpha, geom)
     links = links_from_phases(pat, geom, alpha=alpha)
     H = build_bilayer_hamiltonian(geom, links, params)
     evals = np.linalg.eigvalsh(H.toarray())
     return SpectrumResult(p=alpha.numerator, q=alpha.denominator,
-                          eigenvalues=evals, provenance=Provenance.FINITE_LATTICE)
+                          eigenvalues=evals)
 
 
 def farey_alphas(q_max: int) -> list[Fraction]:
@@ -237,9 +229,10 @@ def farey_alphas(q_max: int) -> list[Fraction]:
 
 
 def butterfly_scan(q_max: int, params: ModelParams,
-                   resolution: int = 64) -> list[SpectrumResult]:
+                   resolution: int = 64) -> Iterator[SpectrumResult]:
     """Bloch spectra for every coprime p/q with q < q_max on a
-    resolution x resolution k grid, ordered by alpha."""
+    resolution x resolution k grid, ordered by alpha.  Each flux is computed
+    as the iterator reaches it; q_max is checked at the call."""
     kx = 2.0 * np.pi * np.arange(resolution) / resolution
     ky = 2.0 * np.pi * np.arange(resolution) / resolution
-    return [bloch_block_spectrum(a, params, kx, ky) for a in farey_alphas(q_max)]
+    return (bloch_block_spectrum(a, params, kx, ky) for a in farey_alphas(q_max))

@@ -1,6 +1,7 @@
 """Closed-form optics calculators for the state-dependent lattice:
 potential ratios, hopping rates, tilted-standing-wave profiles, the Raman
-parity integral, and the effective lattice spacing."""
+parity integral, and the effective lattice spacing.  Lengths are in units
+of the wavelength."""
 
 from __future__ import annotations
 
@@ -10,26 +11,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# hyperfine weights of (V_plus, V_minus) in the potentials of |a> and |b>,
+# the F=1/F=2, m_F=+1 pair of 87Rb
+_WEIGHTS_A = (0.25, 0.75)
+_WEIGHTS_B = (0.75, 0.25)
+
+
 @dataclass(frozen=True)
 class StarkInputs:
-    """ac Stark shifts of the two polarization states and the hyperfine
-    combination weights (defaults: the F=1/F=2, m_F=+1 pair of 87Rb)."""
+    """ac Stark shifts of the two polarization states."""
 
     V_plus: float
     V_minus: float
-    coeffs_a: tuple = (0.25, 0.75)  # weights of (V_plus, V_minus) for |a>
-    coeffs_b: tuple = (0.75, 0.25)
-
-    def __post_init__(self):
-        for c in (self.coeffs_a, self.coeffs_b):
-            if abs(c[0] + c[1] - 1.0) > 1e-12:
-                raise ValueError("combination weights must sum to 1")
 
 
 @dataclass(frozen=True)
 class TiltGeometry:
-    eta: float               # tilt angle of the standing waves
-    wavelength: float = 1.0
+    eta: float  # tilt angle of the standing waves
 
     def __post_init__(self):
         if not 0.0 < self.eta < math.pi / 2:
@@ -37,14 +35,14 @@ class TiltGeometry:
 
     @property
     def k(self) -> float:
-        return 2.0 * math.pi / self.wavelength
+        return 2.0 * math.pi
 
 
 def potential_ratio(s: StarkInputs) -> float:
-    """V_b / V_a from the hyperfine combination weights; the 87Rb defaults
-    give (3 V_+ + V_-) / (V_+ + 3 V_-)."""
-    num = s.coeffs_b[0] * s.V_plus + s.coeffs_b[1] * s.V_minus
-    den = s.coeffs_a[0] * s.V_plus + s.coeffs_a[1] * s.V_minus
+    """V_b / V_a from the hyperfine combination weights:
+    (3 V_+ + V_-) / (V_+ + 3 V_-)."""
+    num = _WEIGHTS_B[0] * s.V_plus + _WEIGHTS_B[1] * s.V_minus
+    den = _WEIGHTS_A[0] * s.V_plus + _WEIGHTS_A[1] * s.V_minus
     if den == 0.0:
         raise ZeroDivisionError("|a> potential vanishes; ratio diverges")
     return num / den
@@ -79,8 +77,9 @@ def field_profiles(g: TiltGeometry):
 
 
 def lattice_spacing(g: TiltGeometry) -> float:
-    """Effective spacing lambda / (2 cos eta); the tilt stretches the period."""
-    return g.wavelength / (2.0 * math.cos(g.eta))
+    """Effective spacing lambda / (2 cos eta), in wavelengths; the tilt
+    stretches the period."""
+    return 1.0 / (2.0 * math.cos(g.eta))
 
 
 def raman_parity_integral(g: TiltGeometry, sigma_x: float, sigma_z: float,

@@ -47,7 +47,7 @@ def dense_reference(geom, wm, mf, drop_tol=1e-14):
     xs = np.empty((n, 2))
     for j in range(geom.Lx):
         for k in range(geom.Ly):
-            xs[j * geom.Ly + k] = (j * geom.r0, k * geom.r0)
+            xs[j * geom.Ly + k] = (j, k)
     d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
     sa2, sb2 = wm.sigma_a ** 2, wm.sigma_b ** 2
     inv_s2 = 0.5 / sa2 + 0.5 / sb2

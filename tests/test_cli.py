@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import gaugelatt
-from gaugelatt import beamsynth
+from gaugelatt import beamsynth, singleparticle
 from gaugelatt.cli import main
 from gaugelatt.lattice import (Boundary, LatticeGeometry,
                                uniform_phase_pattern)
@@ -46,6 +47,34 @@ class TestButterfly:
         run(["butterfly", "--q-max", "4", "--resolution", "4",
              "--output", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_writes_one_flux_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # before each flux is computed, count the earlier results still alive
+        alive, seen = 0, []
+        compute = singleparticle.bloch_block_spectrum
+
+        def release():
+            nonlocal alive
+            alive -= 1
+
+        def tracked(*args, **kwargs):
+            nonlocal alive
+            seen.append(alive)
+            result = compute(*args, **kwargs)
+            alive += 1
+            weakref.finalize(result, release)
+            return result
+
+        monkeypatch.setattr(singleparticle, "bloch_block_spectrum", tracked)
+        rc, stdout, _ = run(["butterfly", "--q-max", "6", "--resolution", "2",
+                             "--output", str(tmp_path / "b.csv")], capsys)
+        assert rc == 0
+        alphas = singleparticle.farey_alphas(6)
+        assert len(seen) == len(alphas)
+        assert max(seen) <= 1  # only the flux being written
+        rows = sum(2 * a.denominator * 2 ** 2 for a in alphas)
+        assert f"({rows} eigenvalues" in stdout
+        assert len((tmp_path / "b.csv").read_text().splitlines()) == rows + 1
 
 
 class TestGround:

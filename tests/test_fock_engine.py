@@ -114,7 +114,7 @@ def reference_theta(z, params, tol=1e-14):
 
 def reference_laughlin_amplitudes(N, alpha, geom, com_a):
     """Unnormalized, unconjugated per-state amplitudes of one Laughlin state."""
-    m, a, r0 = 2, float(alpha), geom.r0
+    m, a, r0 = 2, float(alpha), 1.0
     L1, L2 = geom.Lx * r0, geom.Ly * r0
     tau = 1j * L2 / L1
     ell2 = r0 * r0 / (2.0 * math.pi * a)
@@ -324,7 +324,7 @@ def test_laughlin_matches_loop(Lx, Ly, alpha, N):
 # ---------------------------------------------------------------- eigensolver
 
 def test_residual_error_reports_the_applied_tolerance(monkeypatch):
-    # scale = 0.1 < 1: the check applies tol_factor * 1, not tol_factor * 0.1
+    # scale = 0.1 < 1: the check applies 1e-9 * 1, not 1e-9 * 0.1
     dim = 100
     H = sp.diags(np.linspace(-0.1, 0.1, dim)).tocsr()
     basis = build_fock_basis(dim, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,18 @@ class TestManyBodyHamiltonian:
             [0.0, math.sqrt(2) * 0.9, 2 * 1.7]])
         np.testing.assert_allclose(H.real, expect, atol=1e-14)
         np.testing.assert_allclose(H.imag, 0.0, atol=1e-14)
+
+    def test_integer_u_builds_without_warning(self):
+        geom = torus(2, 2)
+        alpha = Fraction(1, 4)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        basis = build_fock_basis(8, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = build_manybody_hamiltonian(geom, links, ModelParams(U=10), basis)
+        ref = build_manybody_hamiltonian(geom, links, ModelParams(U=10.0), basis)
+        assert abs(H - ref).max() == 0.0
 
     def test_hermiticity(self):
         geom, links, params = reference_setup(J2=0.1)

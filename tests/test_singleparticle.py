@@ -8,8 +8,7 @@ import scipy.sparse as sp
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                PhasePattern, links_from_phases,
                                uniform_phase_pattern)
-from gaugelatt.singleparticle import (ModelParams, Provenance,
-                                      bloch_block_spectrum,
+from gaugelatt.singleparticle import (ModelParams, bloch_block_spectrum,
                                       build_bilayer_hamiltonian,
                                       build_target_hamiltonian, butterfly_scan,
                                       cd_decompose, cd_rotation,
@@ -231,8 +230,8 @@ class TestButterflyScan:
             assert e[e < 0].max() < e[e > 0].min()  # bands split around zero
 
     def test_deterministic_ordering(self):
-        r1 = butterfly_scan(5, ModelParams(J=1.0, omega=1.0), resolution=4)
-        r2 = butterfly_scan(5, ModelParams(J=1.0, omega=1.0), resolution=4)
+        r1 = list(butterfly_scan(5, ModelParams(J=1.0, omega=1.0), resolution=4))
+        r2 = list(butterfly_scan(5, ModelParams(J=1.0, omega=1.0), resolution=4))
         assert [(r.p, r.q) for r in r1] == [(r.p, r.q) for r in r2]
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)

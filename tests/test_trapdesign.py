@@ -28,10 +28,6 @@ class TestPotentialRatio:
         r2 = potential_ratio(StarkInputs(V_plus=-7e3, V_minus=1e3))
         assert r1 == pytest.approx(r2, abs=1e-14)
 
-    def test_weights_must_normalize(self):
-        with pytest.raises(ValueError):
-            StarkInputs(V_plus=1, V_minus=1, coeffs_a=(0.5, 0.6))
-
 
 class TestHoppingRate:
     def test_reference_hopping_ratio(self):
@@ -85,11 +81,11 @@ class TestFieldProfiles:
 
 class TestLatticeSpacing:
     def test_small_tilt_limit(self):
-        assert lattice_spacing(TiltGeometry(eta=1e-9, wavelength=1.0)) == \
+        assert lattice_spacing(TiltGeometry(eta=1e-9)) == \
             pytest.approx(0.5)
 
     def test_sixty_degrees(self):
-        assert lattice_spacing(TiltGeometry(eta=math.pi / 3, wavelength=1.0)) == \
+        assert lattice_spacing(TiltGeometry(eta=math.pi / 3)) == \
             pytest.approx(1.0)
 
     def test_monotone_in_eta(self):
