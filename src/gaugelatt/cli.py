@@ -76,11 +76,11 @@ def cmd_ground(args) -> int:
     if nu == Fraction(1, 2):
         sub = laughlin.laughlin_lattice_states(args.n, alpha, geom)
     for s in states[:2]:
-        rho = manybody.motional_density_matrix(s)
-        purs.append(manybody.purity(rho))
+        C = manybody.motional_density_matrix(s)  # rho = C C^dag
+        purs.append(manybody.purity(C))
         c_nums.append(manybody.c_mode_number(s))
         if sub is not None:
-            overlaps.append(laughlin.laughlin_overlap(rho, sub))
+            overlaps.append(laughlin.laughlin_overlap(C, sub))
     report["purities"] = purs
     report["c_number"] = float(np.mean(c_nums))
     if overlaps:

@@ -1,4 +1,5 @@
-"""Lattice geometry, site phase patterns, link phases and plaquette fluxes.
+"""Lattice geometry, site phase patterns, link phases, plaquette fluxes and
+the x magnetic translation of the torus.
 
 Conventions: lengths are in units of the lattice spacing, and phases are
 stored in radians, canonicalized to [0, 2pi).
@@ -10,7 +11,6 @@ the same flux.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -81,22 +81,23 @@ class PhasePattern:
     @classmethod
     def from_json(cls, text: str) -> tuple["PhasePattern", LatticeGeometry]:
         doc = json.loads(text)
-        geom = LatticeGeometry(
-            Lx=int(doc["Lx"]), Ly=int(doc["Ly"]),
-            boundary=Boundary(doc["boundary"]),
-        )
-        phi = np.asarray(doc["phi"], dtype=float)
+        if not isinstance(doc, dict):
+            raise ValueError("pattern file must hold a JSON object")
+        missing = [key for key in ("Lx", "Ly", "boundary", "phi")
+                   if key not in doc]
+        if missing:
+            raise ValueError(f"pattern file lacks {', '.join(missing)}")
+        if not all(type(doc[key]) is int for key in ("Lx", "Ly")):
+            raise ValueError("pattern sizes Lx and Ly must be integers")
+        geom = LatticeGeometry(Lx=doc["Lx"], Ly=doc["Ly"],
+                               boundary=Boundary(doc["boundary"]))
+        try:
+            phi = np.asarray(doc["phi"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"phi is not a grid of numbers: {exc}") from None
         if phi.shape != (geom.Lx, geom.Ly):
             raise ValueError("phi grid shape does not match Lx, Ly")
         return cls(phi=phi), geom
-
-    def write_csv(self, path) -> None:
-        j, k = np.indices(self.phi.shape)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "k", "phi"])
-            writer.writerows(zip(j.ravel().tolist(), k.ravel().tolist(),
-                                 map("{:.12g}".format, self.phi.ravel().tolist())))
 
 
 @dataclass(frozen=True)
@@ -119,17 +120,6 @@ class LinkField:
             raise ValueError("link field contains non-finite entries")
         object.__setattr__(self, "theta_x", _canonical(tx))
         object.__setattr__(self, "boundary_twist_y", _canonical(tw))
-
-
-@dataclass(frozen=True)
-class VectorPotentialField:
-    """Continuum vector potential, gauge-fixed to the x direction.
-
-    A(x, y) is the x-component; fluxes are measured in flux quanta, so the
-    flux quantum itself is 1 in these units.
-    """
-
-    A: Callable[[float, float], float]
 
 
 def uniform_phase_pattern(alpha: Fraction | float, geom: LatticeGeometry) -> PhasePattern:
@@ -185,9 +175,11 @@ def links_from_phases(
 
 
 def links_from_vector_potential(
-    v: VectorPotentialField, geom: LatticeGeometry
+    A: Callable[[float, float], float], geom: LatticeGeometry
 ) -> LinkField:
-    """Line-integrate A along each x-bond: theta = 2*pi * int A(x, y_k) dx."""
+    """Line-integrate the x-component A(x, y) of a vector potential, gauge-
+    fixed to the x direction and in flux quanta, along each x-bond:
+    theta = 2*pi * int A(x, y_k) dx."""
     from scipy.integrate import quad  # slow to import; only needed here
 
     n_rows = geom.Lx if geom.is_torus else geom.Lx - 1
@@ -196,7 +188,7 @@ def links_from_vector_potential(
         x0, x1 = float(j), float(j + 1)
         for k in range(geom.Ly):
             y = float(k)
-            f = lambda x: v.A(x, y)
+            f = lambda x: A(x, y)
             val, _ = quad(f, x0, x1, epsabs=1e-13, epsrel=1e-13)
             if not math.isfinite(val):
                 raise ValueError(f"vector potential not integrable on bond ({j},{k})")
@@ -237,11 +229,18 @@ def plaquette_flux(l: LinkField, geom: LatticeGeometry) -> np.ndarray:
     return (loop / TWO_PI) % 1.0
 
 
-def field_strength(l: LinkField, geom: LatticeGeometry) -> np.ndarray:
-    """Flux with the opposite sign convention: +alpha for the uniform pattern."""
-    return (-plaquette_flux(l, geom)) % 1.0
+def magnetic_translation_x(geom: LatticeGeometry, alpha: Fraction,
+                           steps: int) -> np.ndarray:
+    """Single-species magnetic translation by `steps` sites in x, as the
+    site permutation s -> perm[s].
 
-
-def total_flux(l: LinkField, geom: LatticeGeometry) -> float:
-    """Sum of plaquette fluxes; an integer on a magnetic torus."""
-    return float(plaquette_flux(l, geom).sum())
+    In the Landau gauge used here the x-shift is a plain mode permutation,
+    but it is a symmetry of the torus only when steps * alpha * Ly is an
+    integer (otherwise it moves the y Wilson loops between sectors).
+    """
+    alpha = Fraction(alpha)
+    if (alpha * steps * geom.Ly).denominator != 1:
+        raise ValueError(
+            f"steps*alpha*Ly = {alpha * steps * geom.Ly} must be an integer")
+    # site (j, k) is j * Ly + k
+    return (np.arange(geom.n_sites) + steps * geom.Ly) % geom.n_sites

@@ -11,8 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import LatticeGeometry
-from .manybody import (FockBasis, MotionalDensityMatrix, build_fock_basis,
-                       product_to_symmetric_fock, subspace_overlap,
+from .manybody import (FockBasis, build_fock_basis, subspace_overlap,
                        symmetric_fock_to_product)
 
 
@@ -128,43 +127,16 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     return LaughlinSubspace(states=(v0, v1), basis=basis)
 
 
-def laughlin_overlap(rho: MotionalDensityMatrix, sub: LaughlinSubspace) -> float:
-    """Tr(P_L rho P_L); depends only on the two-dimensional subspace."""
-    if rho.n_sites != sub.basis.M or rho.N != sub.basis.N:
+def laughlin_overlap(C: np.ndarray, sub: LaughlinSubspace) -> float:
+    """Tr(P_L rho P_L) of rho = C C^dag (the factor returned by
+    `motional_density_matrix`); depends only on the two-dimensional
+    subspace."""
+    if C.shape[0] != sub.basis.M ** sub.basis.N:
         raise ValueError("density matrix and subspace dimensions do not match")
-    val = subspace_overlap(rho, sub.product_space_states())
+    val = subspace_overlap(C, sub.product_space_states())
     if val < 0.5:
         warnings.warn(
             "Laughlin overlap below 0.5: likely a gauge-convention mismatch "
             "between the link field and the Laughlin construction",
             RuntimeWarning)
     return val
-
-
-def magnetic_translation_x(geom: LatticeGeometry, alpha: Fraction,
-                           steps: int) -> np.ndarray:
-    """Single-species one-body magnetic translation by `steps` sites in x.
-
-    In the Landau gauge used here the x-shift is a plain mode permutation,
-    but it is a symmetry of the torus only when steps * alpha * Ly is an
-    integer (otherwise it moves the y Wilson loops between sectors).
-    """
-    alpha = Fraction(alpha)
-    if (alpha * steps * geom.Ly).denominator != 1:
-        raise ValueError(
-            f"steps*alpha*Ly = {alpha * steps * geom.Ly} must be an integer")
-    n = geom.n_sites
-    sites = np.arange(n)  # site (j, k) is j * Ly + k
-    T = np.zeros((n, n))
-    T[(sites + steps * geom.Ly) % n, sites] = 1.0
-    return T
-
-
-def apply_one_body_unitary(U: np.ndarray, vec: np.ndarray,
-                           basis: FockBasis) -> np.ndarray:
-    """Apply a one-body unitary to an N-boson Fock vector: U on every
-    particle axis of the first-quantized wavefunction."""
-    psi = symmetric_fock_to_product(vec, basis).reshape((basis.M,) * basis.N)
-    for axis in range(basis.N):
-        psi = np.moveaxis(np.tensordot(U, psi, axes=(1, axis)), 0, axis)
-    return product_to_symmetric_fock(psi, basis)

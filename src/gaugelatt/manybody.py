@@ -66,8 +66,11 @@ class FockBasis:
             raise ValueError("mode list is not a sorted state of this basis")
         return pos
 
-    def occupation_vector(self, i: int) -> np.ndarray:
-        return np.bincount(self.modes[i], minlength=self.M)
+    def permute(self, perm) -> np.ndarray:
+        """Position of each state after the mode relabelling m -> perm[m]:
+        state i goes to position permute(perm)[i], so a vector v becomes
+        w with w[permute(perm)] = v."""
+        return self.index(np.sort(np.asarray(perm)[self.modes], axis=1))
 
     def arrangements(self) -> np.ndarray:
         """N! / prod_m n_m! per state: the number of distinct orderings of
@@ -218,30 +221,6 @@ def lowest_eigenstates(H: sp.spmatrix, count: int,
     return out
 
 
-@dataclass(frozen=True)
-class MotionalDensityMatrix:
-    """Reduced density matrix after tracing the internal labels.
-
-    Stored in factored form rho = C C^dag, where C maps the internal label
-    space onto the first-quantized motional product space (n_sites^N rows).
-    """
-
-    factor: np.ndarray  # shape (n_sites**N, 2**N)
-    n_sites: int
-    N: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        dim = self.factor.shape[0]
-        if dim > 8192:
-            raise MemoryError(f"refusing to materialize {dim}x{dim} density matrix")
-        return self.factor @ self.factor.conj().T
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(np.abs(self.factor) ** 2))
-
-
 def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Expand a Fock vector into the symmetric first-quantized wavefunction,
     a tensor with one axis of length M per particle.
@@ -257,12 +236,13 @@ def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:
     return psi
 
 
-def motional_density_matrix(state: ManyBodyState) -> MotionalDensityMatrix:
-    """Partial trace over the internal (a/b) labels.
+def motional_density_matrix(state: ManyBodyState) -> np.ndarray:
+    """Partial trace over the internal (a/b) labels, as its factor.
 
     The state is expanded in the first-quantized symmetric basis
     |motional positions> (x) |internal labels> and the labels are traced,
-    leaving a trace-one matrix over the N-fold motional product space.
+    leaving a trace-one matrix over the N-fold motional product space.  It
+    is returned as the (n_sites^N, 2^N) array C with rho = C C^dag.
     """
     basis = state.basis
     if basis.M % 2 != 0:
@@ -273,13 +253,12 @@ def motional_density_matrix(state: ManyBodyState) -> MotionalDensityMatrix:
     # the positions to the rows and the internal labels to the columns
     psi = _first_quantized(state.amplitudes, basis).reshape((2, ns) * N)
     axes = [2 * k + 1 for k in range(N)] + [2 * k for k in range(N)]
-    C = psi.transpose(axes).reshape(ns ** N, 2 ** N)
-    return MotionalDensityMatrix(factor=C, n_sites=ns, N=N)
+    return psi.transpose(axes).reshape(ns ** N, 2 ** N)
 
 
-def purity(rho: MotionalDensityMatrix) -> float:
-    """Tr(rho^2), computed from the factored form."""
-    G = rho.factor.conj().T @ rho.factor  # small (2^N x 2^N) Gram matrix
+def purity(C: np.ndarray) -> float:
+    """Tr(rho^2) of rho = C C^dag."""
+    G = C.conj().T @ C  # small (2^N x 2^N) Gram matrix
     return float(np.real(np.sum(np.abs(G) ** 2)))  # Tr(G^2) for Hermitian G
 
 
@@ -299,12 +278,13 @@ def c_mode_number(state: ManyBodyState) -> float:
     return float(np.real(np.vdot(v, big @ v)))
 
 
-def subspace_overlap(rho: MotionalDensityMatrix, states: list[np.ndarray]) -> float:
-    """Tr(P rho P) for the projector onto orthonormal symmetric motional
-    states given as first-quantized product-space vectors."""
+def subspace_overlap(C: np.ndarray, states: list[np.ndarray]) -> float:
+    """Tr(P rho P) of rho = C C^dag, for the projector onto orthonormal
+    symmetric motional states given as first-quantized product-space
+    vectors."""
     total = 0.0
     for s in states:
-        w = rho.factor.conj().T @ s  # length 2^N
+        w = C.conj().T @ s  # length 2^N
         total += float(np.real(np.vdot(w, w)))
     return total
 
@@ -313,17 +293,3 @@ def symmetric_fock_to_product(vec: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Embed an N-boson Fock vector into the first-quantized product space
     (dimension M^N)."""
     return _first_quantized(vec, basis).ravel()
-
-
-def product_to_symmetric_fock(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Fock amplitudes of the symmetric part of a product-space vector; the
-    inverse of `symmetric_fock_to_product` on symmetric vectors.
-
-    Amplitude i is the sum of psi over all N! orderings of state i's mode
-    list, divided by sqrt(N! prod n_m!).
-    """
-    psi = np.asarray(psi).ravel()
-    out = np.zeros(basis.size, dtype=complex)
-    for perm in permutations(range(basis.N)):
-        out += psi[_pack(basis.modes[:, list(perm)], basis.M)]
-    return out * (np.sqrt(basis.arrangements()) / math.factorial(basis.N))

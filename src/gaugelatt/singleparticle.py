@@ -232,7 +232,10 @@ def butterfly_scan(q_max: int, params: ModelParams,
                    resolution: int = 64) -> Iterator[SpectrumResult]:
     """Bloch spectra for every coprime p/q with q < q_max on a
     resolution x resolution k grid, ordered by alpha.  Each flux is computed
-    as the iterator reaches it; q_max is checked at the call."""
+    as the iterator reaches it; q_max and resolution are checked at the
+    call."""
+    if resolution < 1:
+        raise ValueError(f"need resolution >= 1, got {resolution}")
     kx = 2.0 * np.pi * np.arange(resolution) / resolution
     ky = 2.0 * np.pi * np.arange(resolution) / resolution
     return (bloch_block_spectrum(a, params, kx, ky) for a in farey_alphas(q_max))

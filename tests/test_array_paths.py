@@ -5,7 +5,6 @@ loop per bond for the hopping matrices, per k-point for the Bloch blocks,
 per plaquette for the fluxes and per row for the CSV and flux writers.
 """
 
-import csv
 import math
 from fractions import Fraction
 
@@ -17,9 +16,9 @@ from hypothesis import strategies as st
 
 from gaugelatt.cli import main
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
-                               PhasePattern, links_from_phases, plaquette_flux,
+                               PhasePattern, links_from_phases,
+                               magnetic_translation_x, plaquette_flux,
                                uniform_phase_pattern)
-from gaugelatt.laughlin import magnetic_translation_x
 from gaugelatt.singleparticle import (ModelParams, bloch_block,
                                       build_bilayer_hamiltonian,
                                       build_target_hamiltonian, farey_alphas)
@@ -161,15 +160,6 @@ def reference_magnetic_translation_x(geom, steps):
     return T
 
 
-def reference_pattern_csv(phi, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "phi"])
-        for j in range(phi.shape[0]):
-            for k in range(phi.shape[1]):
-                writer.writerow([j, k, f"{phi[j, k]:.12g}"])
-
-
 # ------------------------------------------------------------------ helpers
 
 def random_links(geom, seed):
@@ -272,16 +262,6 @@ class TestWriters:
         reference_butterfly_csv(ref, 7, ModelParams(J=1.0, omega=2.5, J2=0.1), 3)
         assert out.read_bytes() == ref.read_bytes()
 
-    def test_pattern_csv_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(5)
-        phi = rng.uniform(-20, 20, (5, 3))
-        phi[0, 0] = -0.0
-        pattern = PhasePattern(phi=phi)
-        pattern.write_csv(tmp_path / "new.csv")
-        reference_pattern_csv(pattern.phi, tmp_path / "ref.csv")
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
-
     @pytest.mark.parametrize("Lx,Ly,torus", [(4, 6, True), (5, 3, False),
                                              (1, 4, False)])
     def test_flux_stdout_is_byte_identical(self, tmp_path, capsys, Lx, Ly,
@@ -307,5 +287,7 @@ class TestMagneticTranslation:
                                              (3, 4, 7), (1, 5, 1), (6, 1, -1)])
     def test_matches_per_site_loop(self, Lx, Ly, steps):
         geom = LatticeGeometry(Lx, Ly, boundary=Boundary.MAGNETIC_TORUS)
-        assert_same_bits(magnetic_translation_x(geom, Fraction(0), steps),
-                         reference_magnetic_translation_x(geom, steps))
+        perm = magnetic_translation_x(geom, Fraction(0), steps)
+        T = np.zeros((geom.n_sites, geom.n_sites))
+        T[perm, np.arange(geom.n_sites)] = 1.0  # site s -> perm[s]
+        assert_same_bits(T, reference_magnetic_translation_x(geom, steps))

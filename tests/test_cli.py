@@ -76,6 +76,20 @@ class TestButterfly:
         assert f"({rows} eigenvalues" in stdout
         assert len((tmp_path / "b.csv").read_text().splitlines()) == rows + 1
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_nonpositive_resolution_fails_before_writing(self, tmp_path,
+                                                         capsys, resolution):
+        out = tmp_path / "b.csv"
+        rc, _, stderr = run(["butterfly", "--q-max", "4", "--resolution",
+                             resolution, "--output", str(out)], capsys)
+        assert rc == 1
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr) == {
+            "error": f"need resolution >= 1, got {resolution}",
+            "command": "butterfly"}
+        assert not out.exists()
+        assert not (tmp_path / "b.plot.txt").exists()
+
 
 class TestGround:
     def test_small_torus_report(self, tmp_path, capsys):
@@ -253,6 +267,35 @@ class TestFlux:
         with pytest.raises(SystemExit):
             main(["flux", "whatever.json", "--alpha", "x/y"])
         capsys.readouterr()
+
+
+GRID = [[0.0, 0.5], [1.0, 1.5]]
+
+
+@pytest.mark.parametrize("command", ["flux", "synth"])
+@pytest.mark.parametrize("doc, problem", [
+    ({"Ly": 2, "boundary": "open", "phi": GRID}, "lacks Lx"),
+    ([GRID], "JSON object"),
+    ({"Lx": None, "Ly": 2, "boundary": "open", "phi": GRID}, "integers"),
+    ({"Lx": 2.5, "Ly": 2, "boundary": "open", "phi": GRID}, "integers"),
+    ({"Lx": 2, "Ly": 2, "boundary": "open", "phi": {"row": 1}},
+     "grid of numbers"),
+], ids=["missing-key", "not-an-object", "null-size", "fractional-size",
+        "phi-not-a-grid"])
+def test_malformed_pattern_file_fails_cleanly(tmp_path, capsys, command, doc,
+                                              problem):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+    argv = (["flux", str(path)] if command == "flux" else
+            ["synth", "--pattern-file", str(path),
+             "--output", str(tmp_path / "beams.csv")])
+    rc, stdout, stderr = run(argv, capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    err = json.loads(stderr)
+    assert err["command"] == command
+    assert problem in err["error"]
 
 
 def test_import_leaves_scipy_integrate_unloaded():

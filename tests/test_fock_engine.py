@@ -2,7 +2,8 @@
 
 The reference functions below are the earlier tuple-basis implementations:
 a tuple of sorted mode tuples, a dict for ranking, and one Python loop per
-basis state.
+basis state; and the first-quantized product-space route that one-body
+unitaries such as the magnetic translations took before `FockBasis.permute`.
 """
 
 import math
@@ -18,14 +19,13 @@ from hypothesis import strategies as st
 from gaugelatt import manybody
 from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
                                uniform_phase_pattern)
-from gaugelatt.laughlin import (ThetaParams, apply_one_body_unitary,
-                                laughlin_lattice_states, theta1,
+from gaugelatt.laughlin import (ThetaParams, laughlin_lattice_states, theta1,
                                 theta_with_characteristics)
-from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
+from gaugelatt.manybody import (ManyBodyState, _pack, build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
-                                product_to_symmetric_fock, purity,
-                                second_quantize, symmetric_fock_to_product)
+                                purity, second_quantize,
+                                symmetric_fock_to_product)
 from gaugelatt.singleparticle import ModelParams, build_bilayer_hamiltonian
 
 
@@ -100,6 +100,29 @@ def reference_first_quantized(vec, M, N):
         else:
             psi[m1, m2] = psi[m2, m1] = a / math.sqrt(2.0)
     return psi.ravel()
+
+
+def product_to_symmetric_fock(psi, basis):
+    """Fock amplitudes of the symmetric part of a product-space vector; the
+    inverse of `symmetric_fock_to_product` on symmetric vectors.
+
+    Amplitude i is the sum of psi over all N! orderings of state i's mode
+    list, divided by sqrt(N! prod n_m!).
+    """
+    psi = np.asarray(psi).ravel()
+    out = np.zeros(basis.size, dtype=complex)
+    for perm in permutations(range(basis.N)):
+        out += psi[_pack(basis.modes[:, list(perm)], basis.M)]
+    return out * (np.sqrt(basis.arrangements()) / math.factorial(basis.N))
+
+
+def apply_one_body_unitary(U, vec, basis):
+    """Apply a one-body unitary to an N-boson Fock vector: U on every
+    particle axis of the first-quantized wavefunction (16 M^N bytes)."""
+    psi = symmetric_fock_to_product(vec, basis).reshape((basis.M,) * basis.N)
+    for axis in range(basis.N):
+        psi = np.moveaxis(np.tensordot(U, psi, axes=(1, axis)), 0, axis)
+    return product_to_symmetric_fock(psi, basis)
 
 
 def reference_theta(z, params, tol=1e-14):
@@ -264,17 +287,43 @@ def test_expansion_round_trip(M, N):
                                rtol=0, atol=1e-14)
 
 
+def permuted(v, basis, perm):
+    w = np.empty_like(v)
+    w[basis.permute(perm)] = v
+    return w
+
+
+def permutation_unitary(perm):
+    P = np.zeros((len(perm), len(perm)))
+    P[perm, np.arange(len(perm))] = 1.0  # mode m -> perm[m]
+    return P
+
+
 def test_permutation_unitary_reranks_modes():
     M = 7
     basis = build_fock_basis(M, 3)
     perm = np.random.default_rng(4).permutation(M)
-    P = np.zeros((M, M))
-    P[perm, np.arange(M)] = 1.0  # mode m -> perm[m]
     v = random_state(basis, 5)
     expect = np.empty_like(v)
     expect[basis.index(np.sort(perm[basis.modes], axis=1))] = v
-    np.testing.assert_allclose(apply_one_body_unitary(P, v, basis), expect,
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        apply_one_body_unitary(permutation_unitary(perm), v, basis), expect,
+        rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(permuted(v, basis, perm), expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm=st.integers(1, 7).flatmap(lambda M: st.permutations(range(M))),
+       N=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_permute_matches_product_space_unitary(perm, N, seed):
+    perm = np.array(perm)
+    basis = build_fock_basis(len(perm), N)
+    v = random_state(basis, seed)
+    w = permuted(v, basis, perm)
+    np.testing.assert_allclose(
+        w, apply_one_body_unitary(permutation_unitary(perm), v, basis),
+        rtol=0, atol=1e-14)
+    assert sorted(basis.permute(perm).tolist()) == list(range(basis.size))
 
 
 def test_three_boson_product_state_has_unit_purity():
@@ -286,10 +335,10 @@ def test_three_boson_product_state_has_unit_purity():
         modes = np.sort(np.array(labels) * ns + np.arange(3))
         amps[basis.index(modes)] = np.prod([(1, -1)[s] for s in labels]) / 8 ** 0.5
     state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-    rho = motional_density_matrix(state)
-    assert rho.factor.shape == (ns ** 3, 8)
-    assert rho.trace == pytest.approx(1.0, abs=1e-12)
-    assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+    C = motional_density_matrix(state)
+    assert C.shape == (ns ** 3, 8)
+    assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert purity(C) == pytest.approx(1.0, abs=1e-12)
     assert c_mode_number(state) == pytest.approx(3.0, abs=1e-12)
 
 

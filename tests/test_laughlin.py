@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
-                               uniform_phase_pattern)
+                               magnetic_translation_x, uniform_phase_pattern)
 from gaugelatt.laughlin import (LaughlinSubspace, ThetaParams,
-                                apply_one_body_unitary,
                                 laughlin_lattice_states, laughlin_overlap,
-                                magnetic_translation_x, theta1,
-                                theta_with_characteristics)
-from gaugelatt.manybody import (ManyBodyState, MotionalDensityMatrix,
-                                build_fock_basis, build_manybody_hamiltonian,
-                                lowest_eigenstates, motional_density_matrix)
+                                theta1, theta_with_characteristics)
+from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
+                                build_manybody_hamiltonian, lowest_eigenstates,
+                                motional_density_matrix,
+                                symmetric_fock_to_product)
 from gaugelatt.singleparticle import ModelParams
 
 
@@ -92,10 +91,10 @@ class TestLaughlinStates:
 
     def test_magnetic_translation_closes_subspace(self, reference_instance):
         geom, alpha, _, sub = reference_instance
-        T = magnetic_translation_x(geom, alpha, 2)
+        pos = sub.basis.permute(magnetic_translation_x(geom, alpha, 2))
         P = np.column_stack(sub.states)
-        TP = np.column_stack([apply_one_body_unitary(T, v, sub.basis)
-                              for v in sub.states])
+        TP = np.empty_like(P)
+        TP[pos] = P
         proj = P @ (P.conj().T @ TP)
         assert np.linalg.norm(proj - TP) < 0.05
 
@@ -116,12 +115,10 @@ class TestLaughlinStates:
 class TestLaughlinOverlap:
     def test_projector_on_own_state(self, reference_instance):
         _, _, _, sub = reference_instance
-        basis = sub.basis
         # rho = |L_0><L_0| built directly from the product-space vector
         psi = sub.product_space_states()[0]
-        rho = MotionalDensityMatrix(factor=psi[:, None], n_sites=basis.M,
-                                    N=basis.N)
-        assert laughlin_overlap(rho, sub) == pytest.approx(1.0, abs=1e-10)
+        assert laughlin_overlap(psi[:, None], sub) == pytest.approx(1.0,
+                                                                    abs=1e-10)
 
     def test_orthogonal_state_gives_zero(self, reference_instance):
         _, _, _, sub = reference_instance
@@ -130,13 +127,16 @@ class TestLaughlinOverlap:
         v[0] = 1.0  # double occupancy state; Laughlin amplitude vanishes there
         v -= sum(np.vdot(s, v) * s for s in sub.states)
         v /= np.linalg.norm(v)
-        from gaugelatt.manybody import symmetric_fock_to_product
         psi = symmetric_fock_to_product(v, basis)
-        rho = MotionalDensityMatrix(factor=psi[:, None], n_sites=basis.M,
-                                    N=basis.N)
         with pytest.warns(RuntimeWarning):
-            val = laughlin_overlap(rho, sub)
+            val = laughlin_overlap(psi[:, None], sub)
         assert val < 1e-10
+
+    def test_factor_of_another_size_rejected(self, reference_instance):
+        _, _, _, sub = reference_instance
+        C = np.zeros((sub.basis.M ** sub.basis.N // 4, 4))
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            laughlin_overlap(C, sub)
 
     def test_reference_instance_overlap(self, reference_instance):
         _, _, states, sub = reference_instance

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
-                               links_from_phases, uniform_phase_pattern)
+                               links_from_phases, magnetic_translation_x,
+                               uniform_phase_pattern)
 from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
@@ -32,7 +33,7 @@ class TestFockBasis:
     def test_two_modes_two_bosons(self):
         basis = build_fock_basis(2, 2)
         assert basis.size == 3
-        occs = [tuple(basis.occupation_vector(i)) for i in range(3)]
+        occs = [tuple(np.bincount(row, minlength=2)) for row in basis.modes]
         assert occs == [(2, 0), (1, 1), (0, 2)]
 
     def test_reference_torus_dimension(self):
@@ -90,6 +91,23 @@ class TestManyBodyHamiltonian:
             H = build_manybody_hamiltonian(geom, links, ModelParams(U=10), basis)
         ref = build_manybody_hamiltonian(geom, links, ModelParams(U=10.0), basis)
         assert abs(H - ref).max() == 0.0
+
+    @pytest.mark.parametrize("Lx,Ly,alpha,N,steps", [
+        (4, 4, Fraction(1, 4), 2, 1), (6, 4, Fraction(1, 8), 3, 2),
+        (4, 6, Fraction(1, 12), 2, -2)])
+    def test_commutes_with_magnetic_translation(self, Lx, Ly, alpha, N, steps):
+        # the x shift moves both species: mode s*ns + x -> s*ns + perm[x]
+        geom = torus(Lx, Ly)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        basis = build_fock_basis(2 * geom.n_sites, N)
+        params = ModelParams(J=1.0, omega=3.0, U=2.0, J2=0.2)
+        H = build_manybody_hamiltonian(geom, links, params, basis)
+        perm = magnetic_translation_x(geom, alpha, steps)
+        pos = basis.permute(np.concatenate([perm, perm + geom.n_sites]))
+        P = sp.csr_matrix((np.ones(basis.size), (pos, np.arange(basis.size))),
+                          shape=H.shape)
+        assert abs(P @ H - H @ P).max() < 1e-13
 
     def test_hermiticity(self):
         geom, links, params = reference_setup(J2=0.1)
@@ -155,9 +173,9 @@ class TestMotionalDensityMatrix:
         amps[basis.index([0])] = 1 / math.sqrt(2)
         amps[basis.index([4])] = -1 / math.sqrt(2)
         state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        rho = motional_density_matrix(state)
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+        C = motional_density_matrix(state)
+        assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert purity(C) == pytest.approx(1.0, abs=1e-12)
 
     def test_distinct_sites_opposite_species_purity_half(self):
         # a at site 0, b at site 1: the 2-term Schmidt decomposition
@@ -165,9 +183,9 @@ class TestMotionalDensityMatrix:
         amps = np.zeros(basis.size, dtype=complex)
         amps[basis.index([0, 5])] = 1.0  # a@site0, b@site1
         state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        rho = motional_density_matrix(state)
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert purity(rho) == pytest.approx(0.5, abs=1e-12)
+        C = motional_density_matrix(state)
+        assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert purity(C) == pytest.approx(0.5, abs=1e-12)
 
     def test_trace_one_for_random_state(self):
         rng = np.random.default_rng(0)
@@ -175,17 +193,17 @@ class TestMotionalDensityMatrix:
         amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         amps /= np.linalg.norm(amps)
         state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        assert motional_density_matrix(state).trace == pytest.approx(1.0,
-                                                                     abs=1e-10)
+        C = motional_density_matrix(state)
+        assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_matrix_psd(self):
         rng = np.random.default_rng(1)
         basis = build_fock_basis(6, 2)
         amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         amps /= np.linalg.norm(amps)
-        rho = motional_density_matrix(
+        C = motional_density_matrix(
             ManyBodyState(amplitudes=amps, energy=0.0, basis=basis))
-        evals = np.linalg.eigvalsh(rho.matrix)
+        evals = np.linalg.eigvalsh(C @ C.conj().T)
         assert evals.min() > -1e-12
         assert np.sum(evals) == pytest.approx(1.0, abs=1e-10)
 
