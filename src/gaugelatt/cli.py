@@ -52,6 +52,8 @@ def cmd_butterfly(args) -> int:
 
 
 def cmd_ground(args) -> int:
+    if args.count < 1:
+        raise ValueError("need --count >= 1")
     geom = LatticeGeometry(args.lx, args.ly, boundary=Boundary.MAGNETIC_TORUS)
     alpha = args.alpha
     pat = lattice.uniform_phase_pattern(alpha, geom)
@@ -60,12 +62,12 @@ def cmd_ground(args) -> int:
                                         U=args.u, J2=args.j2)
     basis = manybody.build_fock_basis(2 * geom.n_sites, args.n)
     H = manybody.build_manybody_hamiltonian(geom, links, params, basis)
-    states = manybody.lowest_eigenstates(H, max(args.count, 2), basis)
+    E, V = manybody.lowest_eigenstates(H, args.count)
 
     n_phi = alpha * geom.Lx * geom.Ly
     nu = Fraction(args.n, int(n_phi)) if n_phi else None
     report = {
-        "energies": [s.energy for s in states],
+        "energies": E.tolist(),
         "filling_factor": str(nu),
         "purities": [],
         "c_number": None,
@@ -75,10 +77,11 @@ def cmd_ground(args) -> int:
     sub = None
     if nu == Fraction(1, 2):
         sub = laughlin.laughlin_lattice_states(args.n, alpha, geom)
-    for s in states[:2]:
-        C = manybody.motional_density_matrix(s)  # rho = C C^dag
+    # the diagnostics describe the ground doublet
+    for v in V.T[:2]:
+        C = manybody.motional_density_matrix(v, basis)  # rho = C C^dag
         purs.append(manybody.purity(C))
-        c_nums.append(manybody.c_mode_number(s))
+        c_nums.append(manybody.c_mode_number(v, basis))
         if sub is not None:
             overlaps.append(laughlin.laughlin_overlap(C, sub))
     report["purities"] = purs
@@ -89,8 +92,8 @@ def cmd_ground(args) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{'state':>6} {'energy':>14} {'purity':>10} {'c_number':>10}")
-    for i, s in enumerate(states[:2]):
-        print(f"{i:>6} {s.energy:>14.6f} {purs[i]:>10.6f} {c_nums[i]:>10.6f}")
+    for i, e in enumerate(E[:2]):
+        print(f"{i:>6} {e:>14.6f} {purs[i]:>10.6f} {c_nums[i]:>10.6f}")
     if overlaps:
         print("laughlin overlaps: " + " ".join(f"{o:.6f}" for o in overlaps))
     print(f"wrote {args.output}")
@@ -136,10 +139,15 @@ def cmd_design(args) -> int:
     vb = abs(ratio) * va
     j_ratio = trapdesign.hopping_rate(vb) / trapdesign.hopping_rate(va)
     spacing = trapdesign.lattice_spacing(geom)
-    print(f"{'V+/V-':>12} {'eta':>8} {'Va[Er]':>8} | "
-          f"{'Vb/Va':>10} {'Jb/Ja':>10} {'spacing/lambda':>15}")
-    print(f"{args.vplus/args.vminus:>12.4f} {args.eta:>8.4f} {va:>8.3f} | "
-          f"{ratio:>10.6f} {j_ratio:>10.6f} {spacing:>15.6f}")
+    # potential_ratio rejected a vanishing |a> potential, so V- = 0 leaves
+    # V+ nonzero: show the infinity that IEEE division would give
+    shown = (args.vplus / args.vminus if args.vminus
+             else math.copysign(math.inf, args.vplus * args.vminus))
+    sys.stdout.write(
+        f"{'V+/V-':>12} {'eta':>8} {'Va[Er]':>8} | "
+        f"{'Vb/Va':>10} {'Jb/Ja':>10} {'spacing/lambda':>15}\n"
+        f"{shown:>12.4f} {args.eta:>8.4f} {va:>8.3f} | "
+        f"{ratio:>10.6f} {j_ratio:>10.6f} {spacing:>15.6f}\n")
     return 0
 
 

@@ -15,27 +15,18 @@ from .manybody import (FockBasis, build_fock_basis, subspace_overlap,
                        symmetric_fock_to_product)
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    tau: complex
-    a: float = 0.0
-    b: float = 0.0
-
-    def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise ValueError("modular parameter must have positive imaginary part")
-
-
-def theta_with_characteristics(z, params: ThetaParams, tol: float = 1e-14):
+def theta_with_characteristics(z, tau: complex, a: float, b: float,
+                               tol: float = 1e-14):
     """theta[a,b](z | tau) = sum_n exp(i pi tau (n+a)^2 + 2i (n+a)(z + pi b)).
 
     Elementwise over an array z; a scalar z gives a complex.  Each sum
     window is centered on its dominant term and sized so the truncation
     error is below `tol` relative to the peak term.
     """
-    tau, a, b = params.tau, params.a, params.b
-    z = np.asarray(z, dtype=complex)
     im_tau = tau.imag
+    if im_tau <= 0:
+        raise ValueError("modular parameter must have positive imaginary part")
+    z = np.asarray(z, dtype=complex)
     # |term(n)| ~ exp(-pi im_tau (n+a)^2 - 2 (n+a) Im z); peak at
     # n+a = -Im z / (pi im_tau)
     center = -z.imag / (math.pi * im_tau) - a
@@ -49,7 +40,7 @@ def theta_with_characteristics(z, params: ThetaParams, tol: float = 1e-14):
 
 def theta1(z, tau: complex, tol: float = 1e-14):
     """Odd Jacobi theta function; vanishes linearly at the lattice of periods."""
-    return -theta_with_characteristics(z, ThetaParams(tau=tau, a=0.5, b=0.5), tol)
+    return -theta_with_characteristics(z, tau, 0.5, 0.5, tol)
 
 
 @dataclass(frozen=True)
@@ -59,9 +50,6 @@ class LaughlinSubspace:
 
     states: tuple  # two complex vectors over the motional Fock basis
     basis: FockBasis
-
-    def product_space_states(self) -> list[np.ndarray]:
-        return [symmetric_fock_to_product(v, self.basis) for v in self.states]
 
 
 # Center-of-mass characteristics for the two degenerate states, matched to
@@ -111,9 +99,9 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
 
     vectors = []
     for s in range(2):
-        com = ThetaParams(tau=m * tau, a=_COM_A[s], b=_COM_B)
         amps = np.conj(theta_with_characteristics(
-            m * math.pi * zs.sum(axis=1) / L1, com) * weight)
+            m * math.pi * zs.sum(axis=1) / L1, m * tau, _COM_A[s], _COM_B)
+            * weight)
         amps /= np.linalg.norm(amps)
         vectors.append(amps)
 
@@ -133,7 +121,8 @@ def laughlin_overlap(C: np.ndarray, sub: LaughlinSubspace) -> float:
     subspace."""
     if C.shape[0] != sub.basis.M ** sub.basis.N:
         raise ValueError("density matrix and subspace dimensions do not match")
-    val = subspace_overlap(C, sub.product_space_states())
+    val = subspace_overlap(
+        C, [symmetric_fock_to_product(v, sub.basis) for v in sub.states])
     if val < 0.5:
         warnings.warn(
             "Laughlin overlap below 0.5: likely a gauge-convention mismatch "

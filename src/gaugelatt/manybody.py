@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from .lattice import LatticeGeometry, LinkField
 from .singleparticle import ModelParams, build_bilayer_hamiltonian
 
-DEFAULT_DIM_CAP = 20_000_000
+DIM_CAP = 20_000_000
 
 
 def _pack(modes: np.ndarray, M: int) -> np.ndarray:
@@ -82,12 +82,12 @@ class FockBasis:
         return math.factorial(self.N) / fact
 
 
-def build_fock_basis(M: int, N: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
+def build_fock_basis(M: int, N: int) -> FockBasis:
     if M < 1 or N < 0:
         raise ValueError("need M >= 1 and N >= 0")
     size = math.comb(M + N - 1, N)
-    if size > dim_cap:
-        raise ValueError(f"basis size {size} exceeds cap {dim_cap}")
+    if size > DIM_CAP:
+        raise ValueError(f"basis size {size} exceeds cap {DIM_CAP}")
     if M ** N > np.iinfo(np.int64).max:
         raise ValueError(f"{M}^{N} product states overflow the 64-bit state keys")
     # prepend a leading mode m to every (shorter) row whose first mode is >= m
@@ -177,28 +177,20 @@ def build_manybody_hamiltonian(
     return H.tocsr()
 
 
-@dataclass(frozen=True)
-class ManyBodyState:
-    amplitudes: np.ndarray
-    energy: float
-    basis: FockBasis
-
-
-def lowest_eigenstates(H: sp.spmatrix, count: int,
-                       basis: FockBasis) -> list[ManyBodyState]:
-    """The `count` lowest eigenpairs of a sparse Hermitian matrix, each with
-    residual at most 1e-9 * max(||H||_inf, 1).
+def lowest_eigenstates(H: sp.csr_matrix,
+                       count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` lowest eigenpairs (E, V) of a sparse Hermitian matrix:
+    E ascending, V of shape (dim, count) with orthonormal columns, each pair
+    with residual at most 1e-9 * max(||H||_inf, 1).
 
     Degenerate subspaces come back as some orthonormal basis; downstream
     diagnostics must not depend on the choice.
     """
-    if count < 1:
-        raise ValueError("need count >= 1")
     dim = H.shape[0]
-    scale = spla.norm(H, ord=np.inf) if sp.issparse(H) else np.linalg.norm(H, np.inf)
+    if not 1 <= count <= dim:
+        raise ValueError(f"need 1 <= count <= {dim} (the basis size)")
     if dim <= max(4 * count, 64):
-        dense = H.toarray() if sp.issparse(H) else np.asarray(H)
-        evals, evecs = np.linalg.eigh(dense)
+        evals, evecs = np.linalg.eigh(H.toarray())
     else:
         k = min(count + 4, dim - 2)
         # a fixed start vector makes identical runs give identical results
@@ -206,19 +198,14 @@ def lowest_eigenstates(H: sp.spmatrix, count: int,
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         evals, evecs = spla.eigsh(H, k=k, which="SA", tol=1e-10,
                                   v0=v0 if np.iscomplexobj(H) else v0.real)
-    tol = 1e-9 * max(scale, 1.0)
-    order = np.argsort(evals)
-    out = []
-    for idx in order[:count]:
-        v = evecs[:, idx]
-        resid = np.linalg.norm(H @ v - evals[idx] * v)
-        if resid > tol:
-            raise RuntimeError(
-                f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
-        v = v / np.linalg.norm(v)
-        out.append(ManyBodyState(amplitudes=v.astype(complex),
-                                 energy=float(evals[idx]), basis=basis))
-    return out
+    order = np.argsort(evals)[:count]
+    E, V = evals[order], evecs[:, order]
+    tol = 1e-9 * max(spla.norm(H, ord=np.inf), 1.0)
+    resid = np.max(np.linalg.norm(H @ V - V * E, axis=0))
+    if resid > tol:
+        raise RuntimeError(
+            f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
+    return E, V / [np.linalg.norm(v) for v in V.T]
 
 
 def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -236,22 +223,22 @@ def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:
     return psi
 
 
-def motional_density_matrix(state: ManyBodyState) -> np.ndarray:
-    """Partial trace over the internal (a/b) labels, as its factor.
+def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Partial trace over the internal (a/b) labels of the Fock vector v, as
+    its factor.
 
     The state is expanded in the first-quantized symmetric basis
     |motional positions> (x) |internal labels> and the labels are traced,
     leaving a trace-one matrix over the N-fold motional product space.  It
     is returned as the (n_sites^N, 2^N) array C with rho = C C^dag.
     """
-    basis = state.basis
     if basis.M % 2 != 0:
         raise ValueError("mode count must be even (two internal states)")
     ns = basis.M // 2
     N = basis.N
     # mode mu = s*ns + x: split each particle axis into (s, x), then move
     # the positions to the rows and the internal labels to the columns
-    psi = _first_quantized(state.amplitudes, basis).reshape((2, ns) * N)
+    psi = _first_quantized(v, basis).reshape((2, ns) * N)
     axes = [2 * k + 1 for k in range(N)] + [2 * k for k in range(N)]
     return psi.transpose(axes).reshape(ns ** N, 2 ** N)
 
@@ -262,10 +249,10 @@ def purity(C: np.ndarray) -> float:
     return float(np.real(np.sum(np.abs(G) ** 2)))  # Tr(G^2) for Hermitian G
 
 
-def c_mode_number(state: ManyBodyState) -> float:
-    """Expectation of the total dark-mode number sum_site c^dag c with
-    c = (a - b)/sqrt(2), in the gauge-transformed frame."""
-    basis = state.basis
+def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
+    """Expectation in the Fock vector v of the total dark-mode number
+    sum_site c^dag c with c = (a - b)/sqrt(2), in the gauge-transformed
+    frame."""
     ns = basis.M // 2
     # one-body operator: 1/2 (n_a + n_b - a^dag b - b^dag a) per site
     a = np.arange(ns)
@@ -274,7 +261,6 @@ def c_mode_number(state: ManyBodyState) -> float:
                         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
                        shape=(basis.M, basis.M)).tocsr()
     big = second_quantize(op, basis)
-    v = state.amplitudes
     return float(np.real(np.vdot(v, big @ v)))
 
 

@@ -14,10 +14,9 @@ import scipy.sparse as sp
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
                                plaquette_flux, uniform_phase_pattern)
-from gaugelatt.laughlin import (ThetaParams, laughlin_lattice_states,
-                                laughlin_overlap, theta1,
-                                theta_with_characteristics)
-from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
+from gaugelatt.laughlin import (laughlin_lattice_states, laughlin_overlap,
+                                theta1, theta_with_characteristics)
+from gaugelatt.manybody import (build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
                                 purity, second_quantize, subspace_overlap,
@@ -59,24 +58,24 @@ def reference_links(geom, alpha):
 @pytest.fixture(scope="module")
 def reference_ed():
     """8x8 magnetic torus, N=2, alpha=1/16, U=omega=10J: three lowest
-    bilayer eigenstates plus the Laughlin reference subspace."""
+    bilayer eigenpairs (E, V) plus the Laughlin reference subspace."""
     geom = torus(8, 8)
     alpha = Fraction(1, 16)
     links = reference_links(geom, alpha)
     basis = build_fock_basis(128, 2)
     params = ModelParams(J=1.0, omega=10.0, U=10.0)
     H = build_manybody_hamiltonian(geom, links, params, basis)
-    states = lowest_eigenstates(H, 3, basis)
+    E, V = lowest_eigenstates(H, 3)
     sub = laughlin_lattice_states(2, alpha, geom)
-    return geom, alpha, links, basis, states, sub
+    return geom, alpha, links, basis, E, V, sub
 
 
 @pytest.fixture(scope="module")
 def reference_ed_j2(reference_ed):
-    geom, alpha, links, basis, _, _ = reference_ed
+    geom, alpha, links, basis, _, _, _ = reference_ed
     params = ModelParams(J=1.0, omega=10.0, U=10.0, J2=0.1)
     H = build_manybody_hamiltonian(geom, links, params, basis)
-    return lowest_eigenstates(H, 2, basis)
+    return lowest_eigenstates(H, 2)[1]
 
 
 def target_model_ground_pair(geom, links, U=10.0):
@@ -88,8 +87,8 @@ def target_model_ground_pair(geom, links, U=10.0):
     H = second_quantize(H1, basis).tolil()
     for i in np.flatnonzero(basis.modes[:, 0] == basis.modes[:, 1]):
         H[i, i] += 2.0 * U
-    states = lowest_eigenstates(H.tocsr(), 2, basis)
-    return [symmetric_fock_to_product(s.amplitudes, basis) for s in states]
+    _, V = lowest_eigenstates(H.tocsr(), 2)
+    return [symmetric_fock_to_product(v, basis) for v in V.T]
 
 
 def test_criterion_1_trap_design():
@@ -132,47 +131,43 @@ def test_criterion_3_bloch_vs_finite():
 
 def test_criterion_4_reference_manybody(reference_ed):
     with criterion(4, "reference many-body experiment"):
-        geom, alpha, links, basis, states, _ = reference_ed
+        geom, alpha, links, basis, e, V, _ = reference_ed
         assert basis.size == 8256
-        e = [s.energy for s in states]
         assert e[1] - e[0] < 1e-6
         assert e[2] - e[1] > 100 * max(e[1] - e[0], 1e-12)
         target_pair = target_model_ground_pair(geom, links)
-        for s in states[:2]:
-            rho = motional_density_matrix(s)
+        for v in V.T[:2]:
+            rho = motional_density_matrix(v, basis)
             assert purity(rho) >= 0.99
-            assert abs(c_mode_number(s) - 2.0) <= 0.005
+            assert abs(c_mode_number(v, basis) - 2.0) <= 0.005
             assert subspace_overlap(rho, target_pair) >= 0.99
 
 
 def test_criterion_5_laughlin_overlap(reference_ed):
     with criterion(5, "Laughlin overlap"):
-        _, _, _, _, states, sub = reference_ed
-        for s in states[:2]:
-            assert laughlin_overlap(motional_density_matrix(s), sub) >= 0.98
+        _, _, _, basis, _, V, sub = reference_ed
+        for v in V.T[:2]:
+            assert laughlin_overlap(motional_density_matrix(v, basis),
+                                    sub) >= 0.98
         # basis independence: total overlap invariant under remixing the pair
         rng = np.random.default_rng(11)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         Q, _ = np.linalg.qr(a)
-        basis = states[0].basis
-        mixed = [ManyBodyState(
-            amplitudes=Q[i, 0] * states[0].amplitudes
-            + Q[i, 1] * states[1].amplitudes,
-            energy=0.0, basis=basis) for i in range(2)]
-        t_orig = sum(laughlin_overlap(motional_density_matrix(s), sub)
-                     for s in states[:2])
-        t_mix = sum(laughlin_overlap(motional_density_matrix(s), sub)
-                    for s in mixed)
+        mixed = V[:, :2] @ Q.T
+        t_orig = sum(laughlin_overlap(motional_density_matrix(v, basis), sub)
+                     for v in V.T[:2])
+        t_mix = sum(laughlin_overlap(motional_density_matrix(v, basis), sub)
+                    for v in mixed.T)
         assert abs(t_orig - t_mix) < 1e-10
 
 
 def test_criterion_6_second_neighbor(reference_ed, reference_ed_j2):
     with criterion(6, "second-neighbor robustness"):
-        _, _, _, _, states, sub = reference_ed
-        base = min(laughlin_overlap(motional_density_matrix(s), sub)
-                   for s in states[:2])
-        vals = [laughlin_overlap(motional_density_matrix(s), sub)
-                for s in reference_ed_j2]
+        _, _, _, basis, _, V, sub = reference_ed
+        base = min(laughlin_overlap(motional_density_matrix(v, basis), sub)
+                   for v in V.T[:2])
+        vals = [laughlin_overlap(motional_density_matrix(v, basis), sub)
+                for v in reference_ed_j2.T]
         assert min(vals) >= 0.98
         assert base - min(vals) <= 0.01
 
@@ -246,8 +241,7 @@ def test_criterion_9_property_suites():
                 abs(theta1(z, tau)), 1.0)
             a = theta1(z + math.pi, tau)
             assert abs(a + theta1(z, tau)) < 1e-12 * max(abs(a), 1.0)
-            v = theta_with_characteristics(z, ThetaParams(tau=tau, a=0.5,
-                                                          b=0.5))
+            v = theta_with_characteristics(z, tau, 0.5, 0.5)
             assert abs(v + theta1(z, tau)) < 1e-13 * max(abs(v), 1.0)
 
         # purity approaches 1 monotonically as omega grows
@@ -259,7 +253,7 @@ def test_criterion_9_property_suites():
         for omega in (5.0, 10.0, 20.0, 40.0):
             p = ModelParams(J=1.0, omega=omega, U=omega)
             Hmb = build_manybody_hamiltonian(geom2, links2, p, basis)
-            s = lowest_eigenstates(Hmb, 1, basis)[0]
-            purities.append(purity(motional_density_matrix(s)))
+            v = lowest_eigenstates(Hmb, 1)[1][:, 0]
+            purities.append(purity(motional_density_matrix(v, basis)))
         assert all(b > a for a, b in zip(purities, purities[1:]))
         assert purities[-1] > 0.999

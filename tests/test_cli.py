@@ -140,6 +140,41 @@ class TestGround:
         assert all(o > 0.9 for o in report["laughlin_overlap"])
         assert "laughlin overlaps" in stdout
 
+    def test_count_one_reports_one_state(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc, stdout, _ = run(["ground", "--lx", "4", "--ly", "4", "--n", "2",
+                             "--alpha", "1/4", "--count", "1",
+                             "--output", str(out)], capsys)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["filling_factor"] == "1/2"
+        assert len(report["energies"]) == 1
+        assert len(report["purities"]) == 1
+        assert len(report["laughlin_overlap"]) == 1
+        assert report["c_number"] == pytest.approx(2.0, abs=0.05)
+        assert len(stdout.splitlines()) == 4  # header, one state, overlap, path
+
+    @pytest.mark.parametrize("argv, problem", [
+        # 5 bosons on 8x8 would hit the basis cap: the count is checked first
+        (["--lx", "8", "--ly", "8", "--n", "5", "--count", "0"], "--count"),
+        (["--lx", "4", "--ly", "4", "--n", "2", "--count", "-4"], "--count"),
+        (["--lx", "4", "--ly", "4", "--n", "0", "--count", "3"],
+         "count <= 1 (the basis size)"),
+        (["--lx", "8", "--ly", "8", "--n", "5", "--alpha", "1/16"],
+         "basis size 309319296 exceeds cap 20000000"),
+    ], ids=["zero", "negative", "above-basis-size", "basis-cap"])
+    def test_bad_size_fails_cleanly(self, tmp_path, capsys, argv, problem):
+        out = tmp_path / "g.json"
+        rc, stdout, stderr = run(["ground", *argv, "--output", str(out)],
+                                 capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        err = json.loads(stderr)
+        assert err["command"] == "ground"
+        assert problem in err["error"]
+        assert not out.exists()
+
 
 class TestSynth:
     def test_uniform_pattern(self, tmp_path, capsys):
@@ -242,6 +277,28 @@ class TestDesign:
                             capsys)
         assert rc == 1
         assert "error" in json.loads(stderr)
+
+    @pytest.mark.parametrize("vplus, shown", [("1", "inf"), ("-2", "-inf")])
+    def test_zero_vminus_shows_infinite_input_ratio(self, capsys, vplus,
+                                                    shown):
+        rc, stdout, stderr = run(["design", "--vplus", vplus, "--vminus", "0"],
+                                 capsys)
+        assert rc == 0 and stderr == ""
+        header, row = stdout.splitlines()
+        inputs, outputs = row.split("|")
+        assert inputs.split()[0] == shown
+        # Vb/Va = 3, Jb/Ja and the spacing stay finite
+        ratio, j_ratio, spacing = (float(v) for v in outputs.split())
+        assert ratio == pytest.approx(3.0)
+        assert math.isfinite(j_ratio) and math.isfinite(spacing)
+
+    def test_vanishing_potentials_print_nothing(self, capsys):
+        rc, stdout, stderr = run(["design", "--vplus", "0", "--vminus", "0"],
+                                 capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr)["command"] == "design"
 
 
 class TestFlux:

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from gaugelatt import manybody
 from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
                                uniform_phase_pattern)
-from gaugelatt.laughlin import (ThetaParams, laughlin_lattice_states, theta1,
+from gaugelatt.laughlin import (laughlin_lattice_states, theta1,
                                 theta_with_characteristics)
-from gaugelatt.manybody import (ManyBodyState, _pack, build_fock_basis,
+from gaugelatt.manybody import (_pack, build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
                                 purity, second_quantize,
@@ -125,8 +125,7 @@ def apply_one_body_unitary(U, vec, basis):
     return product_to_symmetric_fock(psi, basis)
 
 
-def reference_theta(z, params, tol=1e-14):
-    tau, a, b = params.tau, params.a, params.b
+def reference_theta(z, tau, a, b, tol=1e-14):
     center = -z.imag / (math.pi * tau.imag) - a
     width = math.sqrt(max(-math.log(tol * 1e-3), 1.0) / (math.pi * tau.imag)) + 2.0
     n = np.arange(math.floor(center - width), math.ceil(center + width) + 1,
@@ -144,15 +143,15 @@ def reference_laughlin_amplitudes(N, alpha, geom, com_a):
     pos = np.array([(s // geom.Ly + 1j * (s % geom.Ly)) * r0
                     for s in range(geom.n_sites)])
     states, _ = reference_states(geom.n_sites, N)
-    com = ThetaParams(tau=m * tau, a=com_a, b=0.0)
-    odd = ThetaParams(tau=tau, a=0.5, b=0.5)
     amps = np.empty(len(states), dtype=complex)
     for i, modes in enumerate(states):
         zs = pos[list(modes)]
-        val = reference_theta(m * math.pi * zs.sum() / L1, com)
+        val = reference_theta(m * math.pi * zs.sum() / L1, m * tau, com_a,
+                              0.0)
         for p in range(N):
             for q in range(p + 1, N):
-                val *= (-reference_theta(math.pi * (zs[p] - zs[q]) / L1, odd)) ** m
+                val *= (-reference_theta(math.pi * (zs[p] - zs[q]) / L1, tau,
+                                         0.5, 0.5)) ** m
         gauss = math.exp(-float(np.sum(zs.imag ** 2)) / (2.0 * ell2))
         mult = math.factorial(N)
         for mo in set(modes):
@@ -334,25 +333,24 @@ def test_three_boson_product_state_has_unit_purity():
     for labels in np.ndindex(2, 2, 2):
         modes = np.sort(np.array(labels) * ns + np.arange(3))
         amps[basis.index(modes)] = np.prod([(1, -1)[s] for s in labels]) / 8 ** 0.5
-    state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-    C = motional_density_matrix(state)
+    C = motional_density_matrix(amps, basis)
     assert C.shape == (ns ** 3, 8)
     assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert purity(C) == pytest.approx(1.0, abs=1e-12)
-    assert c_mode_number(state) == pytest.approx(3.0, abs=1e-12)
+    assert c_mode_number(amps, basis) == pytest.approx(3.0, abs=1e-12)
 
 
 # ------------------------------------------------------------------ Laughlin
 
 def test_theta_arrays_match_scalar_loop():
-    params = ThetaParams(tau=0.5 + 1.3j, a=0.5, b=0.5)
+    tau = 0.5 + 1.3j
     z = np.random.default_rng(6).normal(size=(4, 3)) * (1 + 2j)
-    got = theta_with_characteristics(z, params)
+    got = theta_with_characteristics(z, tau, 0.5, 0.5)
     assert got.shape == z.shape
     for zi, gi in zip(z.ravel(), got.ravel()):
-        ref = reference_theta(complex(zi), params)
+        ref = reference_theta(complex(zi), tau, 0.5, 0.5)
         assert abs(gi - ref) < 1e-13 * max(abs(ref), 1.0)
-    assert isinstance(theta1(0.3 + 0.1j, params.tau), complex)
+    assert isinstance(theta1(0.3 + 0.1j, tau), complex)
 
 
 @pytest.mark.parametrize("Lx,Ly,alpha,N", [(4, 4, Fraction(1, 4), 2),
@@ -375,8 +373,8 @@ def test_laughlin_matches_loop(Lx, Ly, alpha, N):
 def test_residual_error_reports_the_applied_tolerance(monkeypatch):
     # scale = 0.1 < 1: the check applies 1e-9 * 1, not 1e-9 * 0.1
     dim = 100
-    H = sp.diags(np.linspace(-0.1, 0.1, dim)).tocsr()
-    basis = build_fock_basis(dim, 1)
+    diag = np.linspace(-0.1, 0.1, dim)
+    H = sp.diags(diag).tocsr()
 
     def bad_eigsh(A, k, **kwargs):
         vecs = np.eye(dim)[:, :k]
@@ -384,4 +382,17 @@ def test_residual_error_reports_the_applied_tolerance(monkeypatch):
 
     monkeypatch.setattr(manybody.spla, "eigsh", bad_eigsh)
     with pytest.raises(RuntimeError, match=r"tolerance 1\.00e-09$"):
-        lowest_eigenstates(H, 1, basis)
+        lowest_eigenstates(H, 1)
+
+    # exact pairs except the third, whose eigenvalue is off by less than
+    # the level spacing: a bad last column alone must raise
+    def last_bad_eigsh(A, k, **kwargs):
+        vals = diag[:k].copy()
+        vals[2] += 1e-6
+        return vals, np.eye(dim)[:, :k]
+
+    monkeypatch.setattr(manybody.spla, "eigsh", last_bad_eigsh)
+    E, _ = lowest_eigenstates(H, 2)
+    np.testing.assert_array_equal(E, diag[:2])
+    with pytest.raises(RuntimeError, match=r"residual 1\.00e-06 "):
+        lowest_eigenstates(H, 3)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
                                magnetic_translation_x, uniform_phase_pattern)
-from gaugelatt.laughlin import (LaughlinSubspace, ThetaParams,
-                                laughlin_lattice_states, laughlin_overlap,
-                                theta1, theta_with_characteristics)
-from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
+from gaugelatt.laughlin import (LaughlinSubspace, laughlin_lattice_states,
+                                laughlin_overlap, theta1,
+                                theta_with_characteristics)
+from gaugelatt.manybody import (build_fock_basis,
                                 build_manybody_hamiltonian, lowest_eigenstates,
                                 motional_density_matrix,
                                 symmetric_fock_to_product)
@@ -49,15 +49,14 @@ class TestTheta:
     @settings(max_examples=20, deadline=None)
     @given(z=complex_z)
     def test_truncation_converged(self, z):
-        v1 = theta_with_characteristics(z, ThetaParams(tau=TAU, a=0.5, b=0.5),
-                                        tol=1e-14)
-        v2 = theta_with_characteristics(z, ThetaParams(tau=TAU, a=0.5, b=0.5),
+        v1 = theta_with_characteristics(z, TAU, 0.5, 0.5, tol=1e-14)
+        v2 = theta_with_characteristics(z, TAU, 0.5, 0.5,
                                         tol=1e-28)  # doubled window
         assert abs(v1 - v2) < 1e-13 * max(abs(v1), 1.0)
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            ThetaParams(tau=1.0 - 0.5j)
+        with pytest.raises(ValueError, match="positive imaginary part"):
+            theta_with_characteristics(0.3, 1.0 - 0.5j, 0.5, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +68,9 @@ def reference_instance():
     params = ModelParams(J=1.0, omega=10.0, U=10.0)
     basis = build_fock_basis(128, 2)
     H = build_manybody_hamiltonian(geom, links, params, basis)
-    states = lowest_eigenstates(H, 2, basis)
+    _, V = lowest_eigenstates(H, 2)
     sub = laughlin_lattice_states(2, alpha, geom)
-    return geom, alpha, states, sub
+    return geom, alpha, (V, basis), sub
 
 
 class TestLaughlinStates:
@@ -116,7 +115,7 @@ class TestLaughlinOverlap:
     def test_projector_on_own_state(self, reference_instance):
         _, _, _, sub = reference_instance
         # rho = |L_0><L_0| built directly from the product-space vector
-        psi = sub.product_space_states()[0]
+        psi = symmetric_fock_to_product(sub.states[0], sub.basis)
         assert laughlin_overlap(psi[:, None], sub) == pytest.approx(1.0,
                                                                     abs=1e-10)
 
@@ -139,30 +138,27 @@ class TestLaughlinOverlap:
             laughlin_overlap(C, sub)
 
     def test_reference_instance_overlap(self, reference_instance):
-        _, _, states, sub = reference_instance
-        for s in states:
-            rho = motional_density_matrix(s)
+        _, _, (V, basis), sub = reference_instance
+        for v in V.T:
+            rho = motional_density_matrix(v, basis)
             assert laughlin_overlap(rho, sub) > 0.99
 
     def test_basis_independence_under_remixing(self, reference_instance):
-        _, _, states, sub = reference_instance
+        _, _, (V, basis), sub = reference_instance
         rng = np.random.default_rng(5)
         # random unitary remix of the degenerate pair
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         Q, _ = np.linalg.qr(a)
-        v0 = Q[0, 0] * states[0].amplitudes + Q[0, 1] * states[1].amplitudes
-        v1 = Q[1, 0] * states[0].amplitudes + Q[1, 1] * states[1].amplitudes
-        basis = states[0].basis
         total_orig = sum(
-            laughlin_overlap(motional_density_matrix(s), sub) for s in states)
+            laughlin_overlap(motional_density_matrix(v, basis), sub)
+            for v in V.T)
         total_mix = sum(
-            laughlin_overlap(motional_density_matrix(
-                ManyBodyState(amplitudes=v, energy=0.0, basis=basis)), sub)
-            for v in (v0, v1))
+            laughlin_overlap(motional_density_matrix(v, basis), sub)
+            for v in (V @ Q.T).T)
         assert abs(total_orig - total_mix) < 1e-10
 
     def test_remixing_laughlin_pair_leaves_overlap(self, reference_instance):
-        _, _, states, sub = reference_instance
+        _, _, (V, basis), sub = reference_instance
         rng = np.random.default_rng(9)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         Q, _ = np.linalg.qr(a)
@@ -170,7 +166,7 @@ class TestLaughlinOverlap:
             states=(Q[0, 0] * sub.states[0] + Q[0, 1] * sub.states[1],
                     Q[1, 0] * sub.states[0] + Q[1, 1] * sub.states[1]),
             basis=sub.basis)
-        rho = motional_density_matrix(states[0])
+        rho = motional_density_matrix(V[:, 0], basis)
         assert laughlin_overlap(rho, mixed) == pytest.approx(
             laughlin_overlap(rho, sub), abs=1e-10)
 
@@ -185,8 +181,9 @@ class TestLaughlinOverlap:
         for U in (10.0, 20.0, 40.0):
             params = ModelParams(J=1.0, omega=10.0, U=U)
             H = build_manybody_hamiltonian(geom, links, params, basis)
-            s = lowest_eigenstates(H, 1, basis)[0]
+            v = lowest_eigenstates(H, 1)[1][:, 0]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                vals.append(laughlin_overlap(motional_density_matrix(s), sub))
+                vals.append(laughlin_overlap(motional_density_matrix(v, basis),
+                                             sub))
         assert all(b >= a - 5e-3 for a, b in zip(vals, vals[1:]))

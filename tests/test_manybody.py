@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                links_from_phases, magnetic_translation_x,
                                uniform_phase_pattern)
-from gaugelatt.manybody import (ManyBodyState, build_fock_basis,
+from gaugelatt.manybody import (DIM_CAP, build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
                                 purity, second_quantize)
@@ -49,6 +52,18 @@ class TestFockBasis:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             build_fock_basis(1000, 4)
+
+    def test_cap_checked_before_allocation(self):
+        # 5 bosons on the 8x8 bilayer: C(132, 5) states, 6 GB of modes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^basis size 309319296 exceeds cap {DIM_CAP}$")):
+                build_fock_basis(128, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestManyBodyHamiltonian:
@@ -134,26 +149,24 @@ class TestLowestEigenstates:
     def test_diagonal_matrix(self):
         basis = build_fock_basis(2, 1)
         H = sp.diags([3.0, -1.0]).tocsr()
-        states = lowest_eigenstates(H, 1, basis)
-        assert states[0].energy == pytest.approx(-1.0)
-        np.testing.assert_allclose(np.abs(states[0].amplitudes), [0.0, 1.0],
-                                   atol=1e-12)
+        E, V = lowest_eigenstates(H, 1)
+        assert E[0] == pytest.approx(-1.0)
+        np.testing.assert_allclose(np.abs(V[:, 0]), [0.0, 1.0], atol=1e-12)
 
     def test_single_particle_matches_dense(self):
         geom, links, params = reference_setup()
         basis = build_fock_basis(128, 1)
         H = build_manybody_hamiltonian(geom, links, params, basis)
-        states = lowest_eigenstates(H, 1, basis)
+        E, _ = lowest_eigenstates(H, 1)
         dense = np.linalg.eigvalsh(
             build_bilayer_hamiltonian(geom, links, params).toarray())
-        assert states[0].energy == pytest.approx(dense[0], abs=1e-9)
+        assert E[0] == pytest.approx(dense[0], abs=1e-9)
 
     def test_reference_instance_degenerate_pair(self):
         geom, links, params = reference_setup()
         basis = build_fock_basis(128, 2)
         H = build_manybody_hamiltonian(geom, links, params, basis)
-        states = lowest_eigenstates(H, 3, basis)
-        e = [s.energy for s in states]
+        e, _ = lowest_eigenstates(H, 3)
         splitting = e[1] - e[0]
         gap = e[2] - e[1]
         assert splitting < 1e-6
@@ -161,8 +174,34 @@ class TestLowestEigenstates:
         # lowest band manifold near -N omega for the U=0 check
         params0 = ModelParams(J=1.0, omega=10.0, U=0.0)
         H0 = build_manybody_hamiltonian(geom, links, params0, basis)
-        g0 = lowest_eigenstates(H0, 1, basis)[0]
-        assert abs(g0.energy + 2 * 10.0) < 8.0  # -N omega + O(J)
+        E0, _ = lowest_eigenstates(H0, 1)
+        assert abs(E0[0] + 2 * 10.0) < 8.0  # -N omega + O(J)
+
+    # dim <= 64 takes the dense eigh branch, larger dims take ARPACK
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(20, 200),
+           count=st.integers(1, 4))
+    @example(seed=0, dim=20, count=4)
+    @example(seed=0, dim=200, count=1)
+    def test_random_sparse_hermitian_matches_dense(self, seed, dim, count):
+        rng = np.random.default_rng(seed)
+        A = (sp.random(dim, dim, density=0.05, random_state=rng)
+             + 1j * sp.random(dim, dim, density=0.05, random_state=rng))
+        H = (A + A.getH() + sp.diags(rng.normal(size=dim))).tocsr()
+        E, V = lowest_eigenstates(H, count)
+        assert E.shape == (count,) and V.shape == (dim, count)
+        dense = H.toarray()
+        scale = max(np.linalg.norm(dense, np.inf), 1.0)
+        np.testing.assert_allclose(E, np.linalg.eigvalsh(dense)[:count],
+                                   rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(V.conj().T @ V, np.eye(count), rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("count", [0, -4, 3])
+    def test_count_outside_basis_rejected(self, count):
+        H = sp.diags([3.0, -1.0]).tocsr()
+        with pytest.raises(ValueError, match="count"):
+            lowest_eigenstates(H, count)
 
 
 class TestMotionalDensityMatrix:
@@ -172,8 +211,7 @@ class TestMotionalDensityMatrix:
         amps = np.zeros(basis.size, dtype=complex)
         amps[basis.index([0])] = 1 / math.sqrt(2)
         amps[basis.index([4])] = -1 / math.sqrt(2)
-        state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        C = motional_density_matrix(state)
+        C = motional_density_matrix(amps, basis)
         assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert purity(C) == pytest.approx(1.0, abs=1e-12)
 
@@ -182,8 +220,7 @@ class TestMotionalDensityMatrix:
         basis = build_fock_basis(8, 2)  # 4 sites, 2 species
         amps = np.zeros(basis.size, dtype=complex)
         amps[basis.index([0, 5])] = 1.0  # a@site0, b@site1
-        state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        C = motional_density_matrix(state)
+        C = motional_density_matrix(amps, basis)
         assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert purity(C) == pytest.approx(0.5, abs=1e-12)
 
@@ -192,8 +229,7 @@ class TestMotionalDensityMatrix:
         basis = build_fock_basis(8, 2)
         amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         amps /= np.linalg.norm(amps)
-        state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        C = motional_density_matrix(state)
+        C = motional_density_matrix(amps, basis)
         assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_matrix_psd(self):
@@ -201,8 +237,7 @@ class TestMotionalDensityMatrix:
         basis = build_fock_basis(6, 2)
         amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         amps /= np.linalg.norm(amps)
-        C = motional_density_matrix(
-            ManyBodyState(amplitudes=amps, energy=0.0, basis=basis))
+        C = motional_density_matrix(amps, basis)
         evals = np.linalg.eigvalsh(C @ C.conj().T)
         assert evals.min() > -1e-12
         assert np.sum(evals) == pytest.approx(1.0, abs=1e-10)
@@ -215,8 +250,7 @@ class TestDiagnostics:
         basis = build_fock_basis(4, 2)
         amps = np.zeros(basis.size, dtype=complex)
         amps[basis.index([0, 3])] = 1.0
-        rho = motional_density_matrix(
-            ManyBodyState(amplitudes=amps, energy=0.0, basis=basis))
+        rho = motional_density_matrix(amps, basis)
         assert purity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_c_mode_state(self):
@@ -229,18 +263,17 @@ class TestDiagnostics:
                 key = tuple(sorted((m1, m2)))
                 amps[basis.index(key)] += 0.5 * w1 * w2
         amps /= np.linalg.norm(amps)
-        state = ManyBodyState(amplitudes=amps, energy=0.0, basis=basis)
-        assert c_mode_number(state) == pytest.approx(2.0, abs=1e-12)
+        assert c_mode_number(amps, basis) == pytest.approx(2.0, abs=1e-12)
 
     def test_reference_instance_values(self):
         geom, links, params = reference_setup()
         basis = build_fock_basis(128, 2)
         H = build_manybody_hamiltonian(geom, links, params, basis)
-        states = lowest_eigenstates(H, 2, basis)
-        for s in states:
-            rho = motional_density_matrix(s)
+        _, V = lowest_eigenstates(H, 2)
+        for v in V.T:
+            rho = motional_density_matrix(v, basis)
             assert purity(rho) > 0.99
-            assert c_mode_number(s) == pytest.approx(2.0, abs=0.005)
+            assert c_mode_number(v, basis) == pytest.approx(2.0, abs=0.005)
 
     def test_purity_monotone_in_omega(self):
         geom = torus(4, 4)
@@ -252,9 +285,9 @@ class TestDiagnostics:
         for omega in (5.0, 10.0, 20.0, 40.0):
             params = ModelParams(J=1.0, omega=omega, U=omega)
             H = build_manybody_hamiltonian(geom, links, params, basis)
-            s = lowest_eigenstates(H, 1, basis)[0]
-            purities.append(purity(motional_density_matrix(s)))
-            c_nums.append(c_mode_number(s))
+            v = lowest_eigenstates(H, 1)[1][:, 0]
+            purities.append(purity(motional_density_matrix(v, basis)))
+            c_nums.append(c_mode_number(v, basis))
         assert all(b > a for a, b in zip(purities, purities[1:]))
         assert all(b > a for a, b in zip(c_nums, c_nums[1:]))
         assert purities[-1] > 0.999
