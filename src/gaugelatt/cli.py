@@ -62,13 +62,15 @@ def cmd_ground(args) -> int:
                                         U=args.u, J2=args.j2)
     basis = manybody.build_fock_basis(2 * geom.n_sites, args.n)
     H = manybody.build_manybody_hamiltonian(geom, links, params, basis)
-    E, V = manybody.lowest_eigenstates(H, args.count)
+    E, V, sectors = manybody.sector_eigenstates(H, basis, geom, alpha,
+                                                args.count)
 
     n_phi = alpha * geom.Lx * geom.Ly
     nu = Fraction(args.n, int(n_phi)) if n_phi else None
     report = {
         "energies": E.tolist(),
         "filling_factor": str(nu),
+        "sectors": sectors.tolist(),
         "purities": [],
         "c_number": None,
         "laughlin_overlap": None,
@@ -91,9 +93,11 @@ def cmd_ground(args) -> int:
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{'state':>6} {'energy':>14} {'purity':>10} {'c_number':>10}")
+    print(f"{'state':>6} {'sector':>7} {'energy':>14} {'purity':>10} "
+          f"{'c_number':>10}")
     for i, e in enumerate(E[:2]):
-        print(f"{i:>6} {e:>14.6f} {purs[i]:>10.6f} {c_nums[i]:>10.6f}")
+        print(f"{i:>6} {'{},{}'.format(*sectors[i]):>7} {e:>14.6f} "
+              f"{purs[i]:>10.6f} {c_nums[i]:>10.6f}")
     if overlaps:
         print("laughlin overlaps: " + " ".join(f"{o:.6f}" for o in overlaps))
     print(f"wrote {args.output}")

@@ -1,5 +1,5 @@
 """Lattice geometry, site phase patterns, link phases, plaquette fluxes and
-the x magnetic translation of the torus.
+the x and y magnetic translations of the torus.
 
 Conventions: lengths are in units of the lattice spacing, and phases are
 stored in radians, canonicalized to [0, 2pi).
@@ -244,3 +244,24 @@ def magnetic_translation_x(geom: LatticeGeometry, alpha: Fraction,
             f"steps*alpha*Ly = {alpha * steps * geom.Ly} must be an integer")
     # site (j, k) is j * Ly + k
     return (np.arange(geom.n_sites) + steps * geom.Ly) % geom.n_sites
+
+
+def magnetic_translation_y(geom: LatticeGeometry, alpha: Fraction,
+                           steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-species magnetic translation by `steps` sites in y, as the
+    site permutation s -> perm[s] and the gauge phase phase[s] that a
+    particle leaving site s picks up.
+
+    The Landau-gauge x links 2*pi*alpha*k change along y, so the shift
+    (j,k) -> (j,k') with k' = (k+steps) mod Ly carries the phase
+    2*pi*alpha*j*(k'-k).  It is a symmetry of the torus only when
+    steps * alpha * Lx is an integer (then the phase is continuous across
+    the x wrap).
+    """
+    alpha = Fraction(alpha)
+    if (alpha * steps * geom.Lx).denominator != 1:
+        raise ValueError(
+            f"steps*alpha*Lx = {alpha * steps * geom.Lx} must be an integer")
+    j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
+    k_new = (k + steps) % geom.Ly
+    return j * geom.Ly + k_new, TWO_PI * float(alpha) * j * (k_new - k)

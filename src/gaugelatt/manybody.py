@@ -1,21 +1,25 @@
 """Bosonic Fock space, the interacting bilayer Hamiltonian, low-lying
-eigenstates, and the internal-state diagnostics (motional density matrix,
-purity, dark-mode number)."""
+eigenstates (on the torus one magnetic-translation sector at a time), and
+the internal-state diagnostics (motional density matrix, purity, dark-mode
+number)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import LatticeGeometry, LinkField
+from .lattice import (LatticeGeometry, LinkField, magnetic_translation_x,
+                      magnetic_translation_y)
 from .singleparticle import ModelParams, build_bilayer_hamiltonian
 
 DIM_CAP = 20_000_000
+DENSE_BYTES = 2 ** 30  # largest dense complex matrix an eigensolve builds
 
 
 def _pack(modes: np.ndarray, M: int) -> np.ndarray:
@@ -177,12 +181,34 @@ def build_manybody_hamiltonian(
     return H.tocsr()
 
 
+def _check_dense(rows: int, cols: int, what: str):
+    """Fail before allocating a rows x cols complex array above DENSE_BYTES."""
+    size = 16 * rows * cols
+    if size > DENSE_BYTES:
+        raise ValueError(f"{what}: {size / 2 ** 30:.1f} GiB, above the "
+                         f"{DENSE_BYTES / 2 ** 30:g} GiB limit (lower the count)")
+
+
+def _check_residual(H: sp.csr_matrix, E: np.ndarray, V: np.ndarray):
+    tol = 1e-9 * max(spla.norm(H, ord=np.inf), 1.0)
+    resid = np.max(np.linalg.norm(H @ V - V * E, axis=0))
+    if resid > tol:
+        raise RuntimeError(
+            f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
+
+
 def lowest_eigenstates(H: sp.csr_matrix,
                        count: int) -> tuple[np.ndarray, np.ndarray]:
     """The `count` lowest eigenpairs (E, V) of a sparse Hermitian matrix:
     E ascending, V of shape (dim, count) with orthonormal columns, each pair
     with residual at most 1e-9 * max(||H||_inf, 1).
 
+    Small problems (dim <= max(4 * count, 64)) are diagonalized densely,
+    up to DENSE_BYTES of matrix; the rest go to ARPACK through `eigsh`,
+    which runs Lanczos on a real H and Arnoldi (`znaupd`) on a complex one.
+    A Krylov solve finds the members of an exactly degenerate multiplet only
+    by rounding and may miss some; `sector_eigenstates` puts the partners
+    that the magnetic translations enforce into different blocks.
     Degenerate subspaces come back as some orthonormal basis; downstream
     diagnostics must not depend on the choice.
     """
@@ -190,6 +216,7 @@ def lowest_eigenstates(H: sp.csr_matrix,
     if not 1 <= count <= dim:
         raise ValueError(f"need 1 <= count <= {dim} (the basis size)")
     if dim <= max(4 * count, 64):
+        _check_dense(dim, dim, f"dense eigensolve of dimension {dim}")
         evals, evecs = np.linalg.eigh(H.toarray())
     else:
         k = min(count + 4, dim - 2)
@@ -200,12 +227,135 @@ def lowest_eigenstates(H: sp.csr_matrix,
                                   v0=v0 if np.iscomplexobj(H) else v0.real)
     order = np.argsort(evals)[:count]
     E, V = evals[order], evecs[:, order]
-    tol = 1e-9 * max(spla.norm(H, ord=np.inf), 1.0)
-    resid = np.max(np.linalg.norm(H @ V - V * E, axis=0))
-    if resid > tol:
-        raise RuntimeError(
-            f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
-    return E, V / [np.linalg.norm(v) for v in V.T]
+    _check_residual(H, E, V)
+    # Arnoldi returns the members of a degenerate multiplet normalized but
+    # not orthogonal (overlap 4e-3 on the 8x8 ground doublet)
+    return E, np.linalg.qr(V)[0]
+
+
+def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
+    """A site map with a phase per site, applied to both species, as
+    (image, factor): basis state i goes to factor[i] times state image[i]."""
+    ns = len(perm)
+    return (basis.permute(np.concatenate([perm, perm + ns])),
+            np.exp(1j * np.concatenate([phase, phase])[basis.modes].sum(axis=1)))
+
+
+def sector_eigenstates(
+    H: sp.csr_matrix, basis: FockBasis, geom: LatticeGeometry,
+    alpha: Fraction, count: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `count` lowest eigenpairs of a torus Hamiltonian H on `basis`,
+    solved one magnetic-translation sector at a time, as (E, V, sectors).
+
+    T_x, the many-body x translation by the smallest step s with
+    s*alpha*Ly integer, has order = Lx / gcd(Lx, s).  T_y, the y
+    translation by the smallest step b with b*alpha*Lx integer, obeys
+    T_y T_x = exp(2 pi i N alpha s b) T_x T_y: it maps the T_x eigenvalue
+    exp(2 pi i kx / order) onto kx + shift, shift = -order*N*alpha*s*b mod
+    order, with the same spectrum.  Its power Y = T_y^m, m = order /
+    gcd(shift, order), commutes with T_x and has order order_y, so a sector
+    (kx, ky) holds the vectors with T_x v = exp(2 pi i kx / order) v and
+    Y v = exp(2 pi i ky / order_y) v.  One sector per orbit of kx -> kx +
+    shift is diagonalized for every ky; the others are its T_y images.
+
+    E is ascending, ties in (kx, ky) order; V is (dim, count) with
+    orthonormal columns, at most DENSE_BYTES; sectors[i] = (kx, ky) of
+    column i.  Each pair has residual at most 1e-9 * max(||H||_inf, 1) in
+    the full space.
+    """
+    dim = basis.size
+    if not 1 <= count <= dim:
+        raise ValueError(f"need 1 <= count <= {dim} (the basis size)")
+    _check_dense(dim, count, f"{count} eigenvectors of dimension {dim}")
+    alpha = Fraction(alpha)
+    s, b = (alpha * geom.Ly).denominator, (alpha * geom.Lx).denominator
+    order = geom.Lx // math.gcd(geom.Lx, s)
+    shift = int(-order * basis.N * alpha * s * b % order)
+    n_orbits = math.gcd(shift, order)  # T_y orbits of kx
+    m = order // n_orbits
+    order_y = geom.Ly // math.gcd(geom.Ly, b * m)
+
+    tx, _ = _fock_map(basis, magnetic_translation_x(geom, alpha, s),
+                      np.zeros(geom.n_sites))
+    ty, ty_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b))
+    y, y_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b * m))
+
+    def walk(start):
+        # T_x^a Y^c on the states `start`, for every (a, c): (a, c, image, phase)
+        img_c, ph_c = start, np.ones(start.size, dtype=complex)
+        for c in range(order_y):
+            img = img_c
+            for a in range(order):
+                yield a, c, img, ph_c
+                img = tx[img]
+            ph_c, img_c = ph_c * y_phase[img_c], y[img_c]
+
+    # orbits: rep[i] is the smallest index of state i's orbit; from each
+    # representative, state i is reached first by T_x^a Y^c with phase ph
+    idx = np.arange(dim)
+    rep = idx
+    for *_, img, _ in walk(idx):
+        rep = np.minimum(rep, img)
+    reps = np.flatnonzero(rep == idx)
+    labels = [(kx, ky) for kx in range(n_orbits) for ky in range(order_y)]
+    a_of, c_of = np.zeros(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+    ph_of, seen = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=bool)
+    n_fixed = np.zeros(reps.size)
+    # a sector exists on an orbit iff its character matches the phase of
+    # every group element that fixes the representative
+    ok = np.ones((len(labels), reps.size), dtype=bool)
+    for a, c, img, ph in walk(reps):
+        new = ~seen[img]
+        seen[img[new]] = True
+        a_of[img[new]], c_of[img[new]], ph_of[img[new]] = a, c, ph[new]
+        fixed = img == reps
+        n_fixed += fixed
+        for n, (kx, ky) in enumerate(labels):
+            chi = np.exp(2j * np.pi * (kx * a / order + ky * c / order_y))
+            ok[n] &= ~fixed | (np.abs(ph - chi) < 1e-8)
+    length = order * order_y / n_fixed  # orbit sizes
+    orbit = np.searchsorted(reps, rep)
+
+    # P maps orbit r to the sector vector conj(chi(g)) g|r> / sqrt(L), and
+    # since H commutes with the group, P^dag H P = diag(sqrt L) H[reps] P
+    blocks, E_all, label_all, src = [], [], [], []
+    for n, (kx, ky) in enumerate(labels):
+        column = np.cumsum(ok[n]) - 1
+        rows = np.flatnonzero(ok[n][orbit])
+        chi = np.exp(2j * np.pi * (kx * a_of[rows] / order
+                                   + ky * c_of[rows] / order_y))
+        P = sp.csr_matrix(
+            (ph_of[rows] / chi / np.sqrt(length[orbit[rows]]),
+             (rows, column[orbit[rows]])), shape=(dim, int(ok[n].sum())))
+        E, W = np.zeros(0), np.zeros((P.shape[1], 0))
+        if P.shape[1]:
+            kept = np.flatnonzero(ok[n])
+            H_b = (sp.diags(np.sqrt(length[kept])) @ H[reps[kept]] @ P).tocsr()
+            E, W = lowest_eigenstates(H_b, min(count, P.shape[1]))
+        blocks.append((P, W))
+        for j in range(m):
+            E_all.append(E)
+            label_all.append(np.tile([(kx + j * shift) % order, ky], (E.size, 1)))
+            src.append(np.stack([np.full(E.size, n), np.full(E.size, j),
+                                 np.arange(E.size)], axis=1))
+    E_all, label_all = np.concatenate(E_all), np.concatenate(label_all)
+    pick = np.lexsort((label_all[:, 1], label_all[:, 0], E_all))[:count]
+    src = np.concatenate(src)[pick]
+
+    # lift only the chosen vectors: P W, then T_y^j
+    V = np.empty((dim, count), dtype=complex)
+    for n, (P, W) in enumerate(blocks):
+        mine = np.flatnonzero(src[:, 0] == n)
+        need, col = np.unique(src[mine, 2], return_inverse=True)
+        X = P @ W[:, need]
+        for j in range(m):
+            here = src[mine, 1] == j
+            V[:, mine[here]] = X[:, col[here]]
+            X[ty] = ty_phase[:, None] * X
+    E = E_all[pick]
+    _check_residual(H, E, V)
+    return E, V, label_all[pick]
 
 
 def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gaugelatt
-from gaugelatt import beamsynth, singleparticle
+from gaugelatt import beamsynth, lattice, manybody, singleparticle
 from gaugelatt.cli import main
 from gaugelatt.lattice import (Boundary, LatticeGeometry,
                                uniform_phase_pattern)
@@ -101,9 +101,10 @@ class TestGround:
         report = json.loads(out.read_text())
         assert report["filling_factor"] == "1"
         assert len(report["energies"]) >= 2
+        assert len(report["sectors"]) == len(report["energies"])
         assert all(p > 0.9 for p in report["purities"])
         assert abs(report["c_number"] - 2.0) < 0.05
-        assert "energy" in stdout
+        assert "energy" in stdout and "sector" in stdout
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
         # basis dimension 2628: the ARPACK path, not the dense one
@@ -140,6 +141,29 @@ class TestGround:
         assert all(o > 0.9 for o in report["laughlin_overlap"])
         assert "laughlin overlaps" in stdout
 
+    def test_degenerate_partner_reported(self, tmp_path, capsys):
+        # nu = 1/2 on 4x8: the ground doublet is exact, and --count 2 must
+        # return both members (from different translation sectors), not
+        # whatever a Krylov solve happens to find
+        out = tmp_path / "g.json"
+        rc, _, _ = run(["ground", "--lx", "4", "--ly", "8", "--n", "2",
+                        "--alpha", "1/8", "--count", "2", "--output", str(out)],
+                       capsys)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["sectors"][0] != report["sectors"][1]
+        geom = LatticeGeometry(4, 8, boundary=Boundary.MAGNETIC_TORUS)
+        alpha = Fraction(1, 8)
+        basis = manybody.build_fock_basis(2 * geom.n_sites, 2)
+        H = manybody.build_manybody_hamiltonian(
+            geom, lattice.links_from_phases(uniform_phase_pattern(alpha, geom),
+                                            geom, alpha=alpha),
+            singleparticle.ModelParams(J=1.0, omega=10.0, U=10.0), basis)
+        dense = np.linalg.eigvalsh(H.toarray())
+        assert dense[1] - dense[0] < 1e-9 < dense[2] - dense[1]
+        np.testing.assert_allclose(report["energies"], dense[:2], rtol=0,
+                                   atol=1e-9)
+
     def test_count_one_reports_one_state(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         rc, stdout, _ = run(["ground", "--lx", "4", "--ly", "4", "--n", "2",
@@ -162,7 +186,10 @@ class TestGround:
          "count <= 1 (the basis size)"),
         (["--lx", "8", "--ly", "8", "--n", "5", "--alpha", "1/16"],
          "basis size 309319296 exceeds cap 20000000"),
-    ], ids=["zero", "negative", "above-basis-size", "basis-cap"])
+        # 20000 eigenvectors of the 41,616-state basis would take 12.4 GiB
+        (["--lx", "12", "--ly", "12", "--n", "2", "--alpha", "1/36",
+          "--count", "20000"], "41616: 12.4 GiB, above the 1 GiB limit"),
+    ], ids=["zero", "negative", "above-basis-size", "basis-cap", "count-memory"])
     def test_bad_size_fails_cleanly(self, tmp_path, capsys, argv, problem):
         out = tmp_path / "g.json"
         rc, stdout, stderr = run(["ground", *argv, "--output", str(out)],

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                PhasePattern, links_from_phases,
-                               links_from_vector_potential, plaquette_flux,
-                               uniform_phase_pattern)
+                               links_from_vector_potential,
+                               magnetic_translation_x, magnetic_translation_y,
+                               plaquette_flux, uniform_phase_pattern)
+from gaugelatt.singleparticle import build_target_hamiltonian
 
 TWO_PI = 2 * math.pi
 
@@ -185,6 +187,38 @@ class TestGaugeInvariance:
                               alpha=alpha), geom)
         diff = (f1 - f2 + 0.5) % 1.0 - 0.5
         np.testing.assert_allclose(diff, 0.0, atol=1e-12)
+
+
+class TestMagneticTranslation:
+    def test_steps_off_the_flux_lattice_rejected(self):
+        # 4x6 at alpha = 1/8: alpha*Lx = 1/2 and alpha*Ly = 3/4
+        geom = torus(4, 6)
+        alpha = Fraction(1, 8)
+        with pytest.raises(ValueError, match=r"steps\*alpha\*Lx = 1/2 "):
+            magnetic_translation_y(geom, alpha, 1)
+        with pytest.raises(ValueError, match=r"steps\*alpha\*Ly = 3/4 "):
+            magnetic_translation_x(geom, alpha, 1)
+        perm, phase = magnetic_translation_y(geom, alpha, 2)
+        assert sorted(perm) == list(range(geom.n_sites))
+        assert phase.shape == (geom.n_sites,)
+
+    @pytest.mark.parametrize("Lx,Ly,alpha,steps", [
+        (4, 4, Fraction(1, 4), 1), (4, 6, Fraction(1, 8), 2),
+        (6, 4, Fraction(1, 12), -2), (3, 5, Fraction(2, 3), 3)])
+    def test_y_translation_is_a_symmetry(self, Lx, Ly, alpha, steps):
+        # U[perm[s], s] = exp(i phase[s]) commutes with the Peierls matrix
+        geom = torus(Lx, Ly)
+        H = build_target_hamiltonian(
+            geom, links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                    alpha=alpha), 1.0).toarray()
+        perm, phase = magnetic_translation_y(geom, alpha, steps)
+        U = np.zeros_like(H)
+        U[perm, np.arange(geom.n_sites)] = np.exp(1j * phase)
+        np.testing.assert_allclose(U @ H, H @ U, rtol=0, atol=1e-13)
+        # the opposite sign is not (unless every phase is a multiple of pi)
+        if (2 * alpha * steps) % 1:
+            U[perm, np.arange(geom.n_sites)] = np.exp(-1j * phase)
+            assert np.abs(U @ H - H @ U).max() > 0.1
 
 
 class TestSerialization:
