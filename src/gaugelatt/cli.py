@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,10 @@ def cmd_butterfly(args) -> int:
         # one flux at a time, ordered by alpha, each sorted by energy
         for r in results:
             row = f"{r.p},{r.q},{r.alpha:.12g},{{:.12g}}\n".format
-            fh.writelines(map(row, r.eigenvalues.tolist()))
+            # a level repeats once per k-point of its class: format it once
+            levels, counts = np.unique(r.eigenvalues, return_counts=True)
+            fh.writelines(map(operator.mul, map(row, levels.tolist()),
+                              counts.tolist()))
             count += len(r.eigenvalues)
             lo, hi = min(lo, r.eigenvalues.min()), max(hi, r.eigenvalues.max())
     plot = out.with_suffix(".plot.txt")

@@ -14,14 +14,17 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gaugelatt import singleparticle
 from gaugelatt.cli import main
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                PhasePattern, links_from_phases,
                                magnetic_translation_x, plaquette_flux,
                                uniform_phase_pattern)
 from gaugelatt.singleparticle import (ModelParams, bloch_block,
+                                      bloch_block_spectrum,
                                       build_bilayer_hamiltonian,
-                                      build_target_hamiltonian, farey_alphas)
+                                      build_target_hamiltonian,
+                                      commensurate_bloch_spectrum, farey_alphas)
 
 
 # ---------------------------------------------------------------- references
@@ -113,6 +116,14 @@ def reference_bloch_block(alpha_p, alpha_q, params, kx, ky):
     return H
 
 
+def reference_bloch_block_spectrum(alpha_p, alpha_q, params, kx, ky):
+    """Every k-point its own block, all stacked into one eigvalsh call."""
+    kx, ky = np.asarray(kx, dtype=float), np.asarray(ky, dtype=float)
+    blocks = bloch_block(alpha_p, alpha_q, params, kx[:, None], ky[None, :])
+    q2 = 2 * alpha_q
+    return np.sort(np.linalg.eigvalsh(blocks.reshape(-1, q2, q2)).ravel())
+
+
 def reference_plaquette_flux(l, geom):
     tx = l.theta_x
     n_jp = geom.Lx if geom.is_torus else geom.Lx - 1
@@ -178,6 +189,33 @@ def assert_same_csr(A, B):
     for attr in ("indptr", "indices", "data"):
         assert_same_bits(getattr(A, attr), getattr(B, attr))
 
+
+def uniform_k(n):
+    """The k grid of butterfly_scan and of the x axis of a torus."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def integer_k_classes(q, n):
+    """The number of classes of the grid 2 pi j/n, j < n, under k -> k + 2 pi/q
+    and k -> -k, from the integer key min(qj mod n, n - qj mod n)."""
+    return len({min(q * j % n, n - q * j % n) for j in range(n)})
+
+
+def assert_pooled_matches_per_k(res, p, q, params, kx, ky):
+    ref = reference_bloch_block_spectrum(p, q, params, kx, ky)
+    assert (res.p, res.q) == (p, q)
+    assert res.eigenvalues.shape == (2 * q * len(kx) * len(ky),)
+    assert np.all(np.abs(res.eigenvalues - ref)
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+fluxes = st.integers(1, 12).flatmap(lambda q: st.tuples(
+    st.sampled_from([p for p in range(q + 1) if math.gcd(p, q) == 1]),
+    st.just(q)))
+
+bilayer_params = st.builds(
+    lambda omega, J2: ModelParams(J=1.0, omega=omega, J2=J2),
+    st.floats(0.0, 12.0), st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
 
 geometries = st.builds(
     lambda Lx, Ly, torus: LatticeGeometry(
@@ -245,6 +283,89 @@ class TestBlochBlocks:
         assert_same_bits(block, reference_bloch_block(2, 5, params, 0.3, -1.1))
 
 
+class TestKClasses:
+    """bloch_block_spectrum diagonalizes one block per class of k-points
+    related by k -> k + 2 pi/q and k -> -k on each axis; the pooled levels
+    must match the per-k stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(flux=fluxes, params=bilayer_params, nx=st.integers(1, 12),
+           ny=st.integers(1, 12))
+    def test_uniform_grid_matches_per_k(self, flux, params, nx, ny):
+        p, q = flux
+        kx, ky = uniform_k(nx), uniform_k(ny)
+        res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
+        assert_pooled_matches_per_k(res, p, q, params, kx, ky)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flux=fluxes, params=bilayer_params, Lx=st.integers(1, 12),
+           cells=st.integers(1, 3))
+    def test_commensurate_grid_matches_per_k(self, flux, params, Lx, cells):
+        p, q = flux
+        geom = LatticeGeometry(Lx, q * cells, boundary=Boundary.MAGNETIC_TORUS)
+        res = commensurate_bloch_spectrum(Fraction(p, q), params, geom)
+        ky = 2.0 * np.pi * np.arange(cells) / (q * cells)
+        assert_pooled_matches_per_k(res, p, q, params, uniform_k(Lx), ky)
+
+    @settings(max_examples=50, deadline=None)
+    @given(flux=fluxes, params=bilayer_params)
+    def test_single_point_matches_per_k(self, flux, params):
+        p, q = flux
+        res = bloch_block_spectrum(Fraction(p, q), params, [0.0], [0.0])
+        assert_pooled_matches_per_k(res, p, q, params, [0.0], [0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(flux=fluxes, params=bilayer_params,
+           k=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+           shift=st.integers(-3, 3))
+    def test_any_grid_with_images_matches_per_k(self, flux, params, k, shift):
+        # float images k + 2 pi s/q and -k merge; k + 1e-9 must not
+        p, q = flux
+        k = np.array(k)
+        grid = np.concatenate([k, -k, k + 2.0 * np.pi * shift / q, k + 1e-9])
+        res = bloch_block_spectrum(Fraction(p, q), params, grid, grid[::-1])
+        assert_pooled_matches_per_k(res, p, q, params, grid, grid[::-1])
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of blocks of each bloch_block call, in order."""
+        sizes = []
+        build = singleparticle.bloch_block
+
+        def counted(p, q, params, kx, ky):
+            sizes.append(np.broadcast(kx, ky).size)
+            return build(p, q, params, kx, ky)
+
+        monkeypatch.setattr(singleparticle, "bloch_block", counted)
+        return sizes
+
+    def test_one_block_per_integer_class(self, built):
+        params = ModelParams(J=1.0, omega=2.0, J2=0.3)
+        for q in range(1, 13):
+            for n in range(1, 13):
+                built.clear()
+                bloch_block_spectrum(Fraction(1, q), params, uniform_k(n),
+                                     uniform_k(n))
+                assert sum(built) == integer_k_classes(q, n) ** 2
+            built.clear()
+            geom = LatticeGeometry(6, 2 * q, boundary=Boundary.MAGNETIC_TORUS)
+            commensurate_bloch_spectrum(Fraction(1, q), params, geom)
+            assert sum(built) == integer_k_classes(q, 6) * 2
+
+    def test_chunks_give_the_same_bits(self, built, monkeypatch):
+        params = ModelParams(J=1.0, omega=1.5, J2=0.2)
+        k = uniform_k(12)
+        whole = bloch_block_spectrum(Fraction(2, 7), params, k, k)
+        assert built == [7 ** 2]
+        for blocks in (1, 5):
+            built.clear()
+            monkeypatch.setattr(singleparticle, "BLOCK_BYTES",
+                                blocks * 16 * 14 ** 2)
+            chunked = bloch_block_spectrum(Fraction(2, 7), params, k, k)
+            assert max(built) == blocks and sum(built) == 7 ** 2
+            assert_same_bits(chunked.eigenvalues, whole.eigenvalues)
+
+
 class TestPlaquetteFlux:
     @settings(max_examples=150, deadline=None)
     @given(geom=geometries, seed=st.integers(0, 2**32 - 1))
@@ -260,7 +381,20 @@ class TestWriters:
         assert main(["butterfly", "--q-max", "7", "--resolution", "3",
                      "--omega", "2.5", "--j2", "0.1", "--output", str(out)]) == 0
         reference_butterfly_csv(ref, 7, ModelParams(J=1.0, omega=2.5, J2=0.1), 3)
-        assert out.read_bytes() == ref.read_bytes()
+        # header, p/q/alpha columns, row order and count byte for byte.  A
+        # merged k-class takes its levels from one block, within 1e-12 of the
+        # per-k ones (TestKClasses); after rounding to 12 digits the printed
+        # values may also differ by one unit in the last digit
+        lines, ref_lines = (path.read_text().splitlines() for path in (out, ref))
+        assert lines[0] == ref_lines[0] and len(lines) == len(ref_lines)
+        cols, ref_cols = ([line.rsplit(",", 1) for line in rows[1:]]
+                          for rows in (lines, ref_lines))
+        assert [c[0] for c in cols] == [c[0] for c in ref_cols]
+        e, e_ref = (np.array([float(c[1]) for c in rows])
+                    for rows in (cols, ref_cols))
+        digit = 10.0 ** (np.floor(np.log10(np.abs(e_ref) + 1e-300)) - 11)
+        assert np.all(np.abs(e - e_ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(e_ref)) + digit)
 
     @pytest.mark.parametrize("Lx,Ly,torus", [(4, 6, True), (5, 3, False),
                                              (1, 4, False)])
