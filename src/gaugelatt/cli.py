@@ -69,11 +69,14 @@ def cmd_ground(args) -> int:
     E, V, sectors = manybody.sector_eigenstates(H, basis, geom, alpha,
                                                 args.count)
 
-    n_phi = alpha * geom.Lx * geom.Ly
+    # alpha and alpha + 1 give the same links: the filling and the Laughlin
+    # states belong to the flux reduced to [0, 1)
+    reduced = alpha % 1
+    n_phi = reduced * geom.Lx * geom.Ly
     nu = Fraction(args.n, int(n_phi)) if n_phi else None
     report = {
         "energies": E.tolist(),
-        "filling_factor": str(nu),
+        "filling_factor": None if nu is None else str(nu),
         "sectors": sectors.tolist(),
         "purities": [],
         "c_number": None,
@@ -82,7 +85,7 @@ def cmd_ground(args) -> int:
     c_nums, purs, overlaps = [], [], []
     sub = None
     if nu == Fraction(1, 2):
-        sub = laughlin.laughlin_lattice_states(args.n, alpha, geom)
+        sub = laughlin.laughlin_lattice_states(args.n, reduced, geom)
     # the diagnostics describe the ground doublet
     for v in V.T[:2]:
         C = manybody.motional_density_matrix(v, basis)  # rho = C C^dag

@@ -178,9 +178,16 @@ def bloch_block(alpha_p: int, alpha_q: int, params: ModelParams,
     return H
 
 
-def _k_classes(k: np.ndarray, q: int) -> np.ndarray:
-    """For each point of the 1D grid k, the index of the representative of
-    its class under k -> k + 2 pi/q and k -> -k.
+def _k_classes(k: np.ndarray,
+               q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of the 1D grid k under k -> k + 2 pi/q and k -> -k, and
+    their pairing by the shift of the class key by q/2 (k -> k + pi on the x
+    axis, k -> k + pi (q mod 2)/q on the y axis).
+
+    Returns (reps, sizes, partner), classes in ascending key order: the index
+    of each representative in k, the number of points of each class, and the
+    class whose key matches the shifted key (-1 if none on the grid; a class
+    may be its own partner).
 
     The class key, q k/2 pi mod 1 folded into [0, 1/2], is exact up to about
     2 q eps |k|/2 pi in floats.  A point joins a class when its key lies
@@ -189,19 +196,29 @@ def _k_classes(k: np.ndarray, q: int) -> np.ndarray:
     exactly the classes of the integer key min(qj mod n, n - qj mod n), whose
     distinct values lie 1/n apart.  On any grid a merged point lies within
     2 pi TOL/q of an exact image of the representative, which moves the
-    block spectrum by at most about 1e-13 (J + 2 J2)(1 + max|k|/2 pi).
+    block spectrum by at most about 1e-13 (J + 2 J2)(1 + max|k|/2 pi).  A
+    partner's key lies within TOL of the shifted key, and partners are
+    mutual.
     """
     t = k / (2.0 * np.pi)
     u = (q * t) % 1.0
     key = np.minimum(u, 1.0 - u)
     tol = 16 * np.finfo(float).eps * q * (1.0 + np.abs(t).max(initial=0.0))
-    first = np.empty(k.size, dtype=int)
-    start = -1
-    for i in np.argsort(key, kind="stable"):
-        if start < 0 or key[i] - key[start] > tol:
-            start = i
-        first[i] = start
-    return first
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = []
+    for i, x in enumerate(sorted_key):
+        if not starts or x - sorted_key[starts[-1]] > tol:
+            starts.append(i)
+    starts = np.array(starts, dtype=int)
+    sizes = np.diff(np.append(starts, k.size))
+    rep_key = sorted_key[starts]
+    shifted = np.abs(0.5 * (q % 2) - rep_key)  # fold(key + q/2)
+    # representative keys lie more than TOL apart: take the first in range
+    near = np.searchsorted(rep_key, shifted - tol).clip(max=rep_key.size - 1)
+    partner = np.where(np.abs(rep_key[near] - shifted) <= tol, near, -1)
+    partner[partner[partner] != np.arange(partner.size)] = -1
+    return order[starts], sizes, partner
 
 
 def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
@@ -214,24 +231,44 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     block.  So one block per class of kx and of ky is diagonalized
     (`_k_classes`), in chunks of at most BLOCK_BYTES, and its eigenvalues
     count once per k-point of the class.
+
+    With J2 = 0 the bilayer is bipartite: a_m and b_m sit on opposite
+    sublattices of the graph, and S = diag((-1)^m on the a rows, -(-1)^m on
+    the b rows) gives S H(kx, ky) S = -D^dag H(kx + pi, ky + pi (q mod 2)/q) D,
+    with the row gauge D = diag(e^{i pi m (q mod 2)/q}) on both species.  So
+    the levels at k + (pi, pi (q mod 2)/q) are minus those at k: a class and
+    its partner, whose keys differ by q/2 on both axes, share one block, whose
+    levels E count for the first and -E for the second.  A class that is its
+    own partner (every class at even q, the centre class at odd q) or whose
+    partner is not on the grid is diagonalized as it is.  J2 bonds join a
+    sublattice to itself, so with J2 > 0 no class is paired.
     """
     alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     grids = [np.atleast_1d(np.asarray(g, dtype=float))
              for g in (kx_grid, ky_grid)]
-    (rx, nx), (ry, ny) = (np.unique(_k_classes(g, q), return_counts=True)
-                          for g in grids)
-    kx, ky = (g.ravel() for g in np.meshgrid(grids[0][rx], grids[1][ry],
+    (rx, nx, px), (ry, ny, py) = (_k_classes(g, q) for g in grids)
+    cx, cy = (c.ravel() for c in np.meshgrid(np.arange(rx.size),
+                                             np.arange(ry.size),
                                              indexing="ij"))
+    weight = nx[cx] * ny[cy]
+    paired = (px[cx] >= 0) & (py[cy] >= 0) & (params.J2 == 0)
+    partner = np.where(paired, px[cx] * ry.size + py[cy], -1)
+    own = np.arange(cx.size)
+    solve = (partner < 0) | (partner >= own)  # skip the second of a pair
+    kx, ky = grids[0][rx][cx[solve]], grids[1][ry][cy[solve]]
     step = max(1, BLOCK_BYTES // (16 * (2 * q) ** 2))
     evals = np.concatenate([
         np.linalg.eigvalsh(bloch_block(p, q, params, kx[i:i + step],
                                        ky[i:i + step]))
-        for i in range(0, max(kx.size, 1), step)]).ravel()
-    weights = np.repeat(np.outer(nx, ny).ravel(), 2 * q)
-    order = np.argsort(evals)
+        for i in range(0, max(kx.size, 1), step)]).reshape(-1, 2 * q)
+    mirror = partner[solve] > own[solve]
+    levels = np.concatenate([evals, -evals[mirror]]).ravel()
+    weights = np.repeat(np.concatenate([weight[solve],
+                                        weight[partner[solve][mirror]]]), 2 * q)
+    order = np.argsort(levels)
     return SpectrumResult(p=p, q=q,
-                          eigenvalues=np.repeat(evals[order], weights[order]))
+                          eigenvalues=np.repeat(levels[order], weights[order]))
 
 
 def commensurate_bloch_spectrum(alpha: Fraction, params: ModelParams,

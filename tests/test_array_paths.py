@@ -24,6 +24,7 @@ from gaugelatt.singleparticle import (ModelParams, bloch_block,
                                       bloch_block_spectrum,
                                       build_bilayer_hamiltonian,
                                       build_target_hamiltonian,
+                                      butterfly_scan,
                                       commensurate_bloch_spectrum, farey_alphas)
 
 
@@ -201,6 +202,21 @@ def integer_k_classes(q, n):
     return len({min(q * j % n, n - q * j % n) for j in range(n)})
 
 
+def integer_paired_blocks(q, n):
+    """The number of blocks diagonalized on the n x n grid 2 pi j/n at J2 = 0.
+    A class (a, b) of integer keys pairs with (|s - a|, |s - b|), s = n (q mod
+    2)/2 the key shift of k -> k + (pi, pi (q mod 2)/q); a pair takes one
+    block, and so does a class that is its own partner or has none."""
+    keys = {min(q * j % n, n - q * j % n) for j in range(n)}
+    blocks = 0.0
+    for a in keys:
+        for b in keys:
+            image = (abs(n * (q % 2) / 2 - a), abs(n * (q % 2) / 2 - b))
+            paired = image != (a, b) and set(image) <= keys
+            blocks += 0.5 if paired else 1.0
+    return blocks
+
+
 def assert_pooled_matches_per_k(res, p, q, params, kx, ky):
     ref = reference_bloch_block_spectrum(p, q, params, kx, ky)
     assert (res.p, res.q) == (p, q)
@@ -217,10 +233,39 @@ bilayer_params = st.builds(
     lambda omega, J2: ModelParams(J=1.0, omega=omega, J2=J2),
     st.floats(0.0, 12.0), st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
 
+bipartite_params = st.builds(lambda omega: ModelParams(J=1.0, omega=omega),
+                             st.floats(0.0, 12.0))
+
+odd_q_fluxes = fluxes.filter(lambda flux: flux[1] % 2 == 1)
+
 geometries = st.builds(
     lambda Lx, Ly, torus: LatticeGeometry(
         Lx, Ly, boundary=Boundary.MAGNETIC_TORUS if torus else Boundary.OPEN),
     st.integers(1, 7), st.integers(1, 7), st.booleans())
+
+
+def assert_butterfly_csv_matches(tmp_path, q_max, omega, J2, resolution):
+    """The CLI's butterfly CSV against the per-k reference writer."""
+    out, ref = tmp_path / "b.csv", tmp_path / "ref.csv"
+    assert main(["butterfly", "--q-max", str(q_max), "--resolution",
+                 str(resolution), "--omega", str(omega), "--j2", str(J2),
+                 "--output", str(out)]) == 0
+    reference_butterfly_csv(ref, q_max, ModelParams(J=1.0, omega=omega, J2=J2),
+                            resolution)
+    # header, p/q/alpha columns, row order and count byte for byte.  A
+    # merged k-class takes its levels from one block, within 1e-12 of the
+    # per-k ones (TestKClasses); after rounding to 12 digits the printed
+    # values may also differ by one unit in the last digit
+    lines, ref_lines = (path.read_text().splitlines() for path in (out, ref))
+    assert lines[0] == ref_lines[0] and len(lines) == len(ref_lines)
+    cols, ref_cols = ([line.rsplit(",", 1) for line in rows[1:]]
+                      for rows in (lines, ref_lines))
+    assert [c[0] for c in cols] == [c[0] for c in ref_cols]
+    e, e_ref = (np.array([float(c[1]) for c in rows])
+                for rows in (cols, ref_cols))
+    digit = 10.0 ** (np.floor(np.log10(np.abs(e_ref) + 1e-300)) - 11)
+    assert np.all(np.abs(e - e_ref)
+                  <= 1e-12 * np.maximum(1.0, np.abs(e_ref)) + digit)
 
 
 # --------------------------------------------------------------- properties
@@ -326,6 +371,32 @@ class TestKClasses:
         res = bloch_block_spectrum(Fraction(p, q), params, grid, grid[::-1])
         assert_pooled_matches_per_k(res, p, q, params, grid, grid[::-1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(flux=odd_q_fluxes, params=bipartite_params,
+           nx=st.integers(1, 6), ny=st.integers(1, 6))
+    def test_paired_classes_match_per_k(self, flux, params, nx, ny):
+        # with J2 = 0 and odd q, the classes of an even grid pair up by
+        # k -> k + (pi, pi/q); an odd grid holds no partner
+        p, q = flux
+        for kx, ky in ((uniform_k(2 * nx), uniform_k(2 * ny)),
+                       (uniform_k(2 * nx - 1), uniform_k(2 * ny - 1))):
+            res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
+            assert_pooled_matches_per_k(res, p, q, params, kx, ky)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flux=fluxes, params=bipartite_params,
+           k=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    def test_any_grid_with_sublattice_images_matches_per_k(self, flux, params,
+                                                           k):
+        # float images k + (pi, pi (q mod 2)/q) pair; images + 1e-9 must not
+        p, q = flux
+        k = np.array(k)
+        shift = np.pi * (q % 2) / q
+        kx = np.concatenate([k, k + np.pi, k + np.pi + 1e-9])
+        ky = np.concatenate([k, k + shift, k + shift + 1e-9])
+        res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
+        assert_pooled_matches_per_k(res, p, q, params, kx, ky)
+
     @pytest.fixture
     def built(self, monkeypatch):
         """The number of blocks of each bloch_block call, in order."""
@@ -352,18 +423,58 @@ class TestKClasses:
             commensurate_bloch_spectrum(Fraction(1, q), params, geom)
             assert sum(built) == integer_k_classes(q, 6) * 2
 
-    def test_chunks_give_the_same_bits(self, built, monkeypatch):
-        params = ModelParams(J=1.0, omega=1.5, J2=0.2)
-        k = uniform_k(12)
-        whole = bloch_block_spectrum(Fraction(2, 7), params, k, k)
-        assert built == [7 ** 2]
-        for blocks in (1, 5):
+    def test_one_block_per_pair_of_integer_classes(self, built):
+        params = ModelParams(J=1.0, omega=2.0)
+        for q in range(1, 13):
+            for n in range(1, 13):
+                built.clear()
+                bloch_block_spectrum(Fraction(1, q), params, uniform_k(n),
+                                     uniform_k(n))
+                assert sum(built) == integer_paired_blocks(q, n)
+
+    def test_float_images_pair_and_near_images_do_not(self, built):
+        params = ModelParams(J=1.0, omega=0.8)
+        kx, ky = np.array([0.3, 0.3 + np.pi]), np.array([0.7, 0.7 + np.pi / 5])
+        # (kx0, ky0) pairs with (kx1, ky1), (kx0, ky1) with (kx1, ky0)
+        for dx, dy, blocks in ((0.0, 0.0, 2), (1e-9, 0.0, 4), (0.0, 1e-9, 4)):
             built.clear()
-            monkeypatch.setattr(singleparticle, "BLOCK_BYTES",
-                                blocks * 16 * 14 ** 2)
-            chunked = bloch_block_spectrum(Fraction(2, 7), params, k, k)
-            assert max(built) == blocks and sum(built) == 7 ** 2
-            assert_same_bits(chunked.eigenvalues, whole.eigenvalues)
+            bloch_block_spectrum(Fraction(2, 5), params, kx + [0.0, dx],
+                                 ky + [0.0, dy])
+            assert sum(built) == blocks
+
+    def test_partner_matching_is_one_to_one(self):
+        # two classes 1.8 TOL apart both lie within TOL of the image of the
+        # class at key 0.1; only one of them may take its levels
+        tol = 16 * np.finfo(float).eps * 1.5
+        kx = 2.0 * np.pi * np.array([0.1, 0.4 - 0.9 * tol, 0.4 + 0.9 * tol])
+        ky = np.array([0.0, np.pi])
+        params = ModelParams(J=1.0, omega=0.7)
+        res = bloch_block_spectrum(Fraction(0, 1), params, kx, ky)
+        assert_pooled_matches_per_k(res, 0, 1, params, kx, ky)
+
+    @pytest.mark.parametrize("J2,blocks", [(0.0, 2885), (0.1, 5093)])
+    def test_butterfly_scan_block_count(self, built, J2, blocks):
+        for _ in butterfly_scan(30, ModelParams(J=1.0, J2=J2), resolution=8):
+            pass
+        assert sum(built) == blocks
+
+    def test_chunks_give_the_same_bits(self, built, monkeypatch):
+        # J2 > 0 diagonalizes all 49 classes; J2 = 0 pairs them into 25 blocks
+        k = uniform_k(12)
+        full = singleparticle.BLOCK_BYTES
+        for J2, total in ((0.2, 7 ** 2), (0.0, integer_paired_blocks(7, 12))):
+            params = ModelParams(J=1.0, omega=1.5, J2=J2)
+            monkeypatch.setattr(singleparticle, "BLOCK_BYTES", full)
+            built.clear()
+            whole = bloch_block_spectrum(Fraction(2, 7), params, k, k)
+            assert built == [total]
+            for blocks in (1, 5):
+                built.clear()
+                monkeypatch.setattr(singleparticle, "BLOCK_BYTES",
+                                    blocks * 16 * 14 ** 2)
+                chunked = bloch_block_spectrum(Fraction(2, 7), params, k, k)
+                assert max(built) == blocks and sum(built) == total
+                assert_same_bits(chunked.eigenvalues, whole.eigenvalues)
 
 
 class TestPlaquetteFlux:
@@ -377,24 +488,13 @@ class TestPlaquetteFlux:
 
 class TestWriters:
     def test_butterfly_csv_is_byte_identical(self, tmp_path, capsys):
-        out, ref = tmp_path / "b.csv", tmp_path / "ref.csv"
-        assert main(["butterfly", "--q-max", "7", "--resolution", "3",
-                     "--omega", "2.5", "--j2", "0.1", "--output", str(out)]) == 0
-        reference_butterfly_csv(ref, 7, ModelParams(J=1.0, omega=2.5, J2=0.1), 3)
-        # header, p/q/alpha columns, row order and count byte for byte.  A
-        # merged k-class takes its levels from one block, within 1e-12 of the
-        # per-k ones (TestKClasses); after rounding to 12 digits the printed
-        # values may also differ by one unit in the last digit
-        lines, ref_lines = (path.read_text().splitlines() for path in (out, ref))
-        assert lines[0] == ref_lines[0] and len(lines) == len(ref_lines)
-        cols, ref_cols = ([line.rsplit(",", 1) for line in rows[1:]]
-                          for rows in (lines, ref_lines))
-        assert [c[0] for c in cols] == [c[0] for c in ref_cols]
-        e, e_ref = (np.array([float(c[1]) for c in rows])
-                    for rows in (cols, ref_cols))
-        digit = 10.0 ** (np.floor(np.log10(np.abs(e_ref) + 1e-300)) - 11)
-        assert np.all(np.abs(e - e_ref)
-                      <= 1e-12 * np.maximum(1.0, np.abs(e_ref)) + digit)
+        assert_butterfly_csv_matches(tmp_path, 7, 2.5, 0.1, 3)
+
+    def test_paired_butterfly_csv_matches(self, tmp_path, capsys):
+        # J2 = 0 on an even grid: odd-q classes pair by the sublattice map.
+        # Levels near zero (about 1e-16) may change sign and swap places
+        # within a flux, inside the same tolerance
+        assert_butterfly_csv_matches(tmp_path, 8, 0.0, 0.0, 4)
 
     @pytest.mark.parametrize("Lx,Ly,torus", [(4, 6, True), (5, 3, False),
                                              (1, 4, False)])

@@ -178,6 +178,33 @@ class TestGround:
         assert report["c_number"] == pytest.approx(2.0, abs=0.05)
         assert len(stdout.splitlines()) == 4  # header, one state, overlap, path
 
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_no_flux_has_no_filling_factor(self, tmp_path, capsys, alpha):
+        out = tmp_path / "g.json"
+        rc, _, _ = run(["ground", "--lx", "4", "--ly", "4", "--n", "2",
+                        "--alpha", alpha, "--output", str(out)], capsys)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["filling_factor"] is None
+        assert report["laughlin_overlap"] is None
+
+    def test_flux_above_one_reports_the_reduced_flux(self, tmp_path, capsys):
+        # alpha and alpha + 1 build the same links, so the same report
+        reports = []
+        for alpha in ("1/4", "5/4"):
+            out = tmp_path / "g.json"
+            rc, _, _ = run(["ground", "--lx", "4", "--ly", "4", "--n", "2",
+                            "--alpha", alpha, "--output", str(out)], capsys)
+            assert rc == 0
+            reports.append(json.loads(out.read_text()))
+        base, shifted = reports
+        assert shifted["filling_factor"] == base["filling_factor"] == "1/2"
+        np.testing.assert_allclose(shifted["energies"], base["energies"],
+                                   rtol=0, atol=1e-12)
+        assert len(shifted["laughlin_overlap"]) == 2
+        np.testing.assert_allclose(shifted["laughlin_overlap"],
+                                   base["laughlin_overlap"], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("argv, problem", [
         # 5 bosons on 8x8 would hit the basis cap: the count is checked first
         (["--lx", "8", "--ly", "8", "--n", "5", "--count", "0"], "--count"),

@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                PhasePattern, links_from_phases,
                                uniform_phase_pattern)
-from gaugelatt.singleparticle import (ModelParams, bloch_block_spectrum,
+from gaugelatt.singleparticle import (ModelParams, bloch_block,
+                                      bloch_block_spectrum,
                                       build_bilayer_hamiltonian,
                                       build_target_hamiltonian, butterfly_scan,
                                       cd_decompose, cd_rotation,
@@ -212,6 +215,34 @@ class TestBlochBlocks:
                                    ks, ks)
         e = np.sort(res.eigenvalues)
         np.testing.assert_allclose(e, -e[::-1], atol=1e-10)
+
+
+def sublattice_image(p, q, params, kx, ky):
+    """Levels at k and at k + (pi, pi (q mod 2)/q), where the sublattice map
+    of the bipartite (J2 = 0) bilayer sends them."""
+    return (np.linalg.eigvalsh(bloch_block(p, q, params, kx, ky)),
+            np.linalg.eigvalsh(bloch_block(p, q, params, kx + np.pi,
+                                           ky + np.pi * (q % 2) / q)))
+
+
+class TestSublatticeMap:
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1, 29), p_seed=st.integers(0, 10**6),
+           J=st.floats(0.1, 5.0), omega=st.floats(0.0, 12.0),
+           kx=st.floats(-10.0, 10.0), ky=st.floats(-10.0, 10.0))
+    def test_levels_at_the_image_are_negated(self, q, p_seed, J, omega, kx,
+                                             ky):
+        coprime = [p for p in range(q + 1) if math.gcd(p, q) == 1]
+        p = coprime[p_seed % len(coprime)]
+        e, image = sublattice_image(p, q, ModelParams(J=J, omega=omega), kx, ky)
+        np.testing.assert_array_less(np.abs(e + image[::-1]),
+                                     1e-12 * np.maximum(1.0, np.abs(e)))
+
+    def test_second_neighbour_hops_break_it(self):
+        # J2 bonds join a sublattice to itself: why pairing needs J2 = 0
+        e, image = sublattice_image(1, 3, ModelParams(J=1.0, omega=1.0, J2=0.3),
+                                    0.4, 0.7)
+        assert np.max(np.abs(e + image[::-1])) > 1e-3
 
 
 class TestButterflyScan:
