@@ -70,9 +70,11 @@ def cmd_ground(args) -> int:
                                                 args.count)
 
     # alpha and alpha + 1 give the same links: the filling and the Laughlin
-    # states belong to the flux reduced to [0, 1)
+    # states belong to the flux reduced to (-1/2, 1/2]
     reduced = alpha % 1
-    n_phi = reduced * geom.Lx * geom.Ly
+    if reduced > Fraction(1, 2):
+        reduced -= 1
+    n_phi = abs(reduced) * geom.Lx * geom.Ly
     nu = Fraction(args.n, int(n_phi)) if n_phi else None
     report = {
         "energies": E.tolist(),

@@ -69,8 +69,14 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     The construction is the center-of-mass theta factor (two characteristics)
     times the squared odd-theta relative factor times the Landau-gauge
     Gaussian, with magnetic length l = 1 / sqrt(2 pi alpha) lattice spacings.
+    A negative alpha gives the complex conjugates of the states at -alpha:
+    K maps the Landau-gauge links of alpha onto those of -alpha.
     """
     alpha = Fraction(alpha)
+    if alpha < 0:
+        sub = laughlin_lattice_states(N, -alpha, geom)
+        return LaughlinSubspace(states=tuple(np.conj(v) for v in sub.states),
+                                basis=sub.basis)
     if not geom.is_torus:
         raise ValueError("Laughlin construction requires a magnetic torus")
     n_phi = alpha * geom.Lx * geom.Ly

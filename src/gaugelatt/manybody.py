@@ -205,7 +205,9 @@ def lowest_eigenstates(H: sp.csr_matrix,
 
     Small problems (dim <= max(4 * count, 64)) are diagonalized densely,
     up to DENSE_BYTES of matrix; the rest go to ARPACK through `eigsh`,
-    which runs Lanczos on a real H and Arnoldi (`znaupd`) on a complex one.
+    which runs Lanczos (`dsaupd`) on a real H and Arnoldi (`znaupd`) on a
+    complex one.  `sector_eigenstates` hands over its blocks real wherever
+    the antiunitary K M_x maps a sector onto itself.
     A Krylov solve finds the members of an exactly degenerate multiplet only
     by rounding and may miss some; `sector_eigenstates` puts the partners
     that the magnetic translations enforce into different blocks.
@@ -241,6 +243,34 @@ def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
             np.exp(1j * np.concatenate([phase, phase])[basis.modes].sum(axis=1)))
 
 
+def _real_frame_eigenstates(H_b: sp.csr_matrix, pi: np.ndarray, s: np.ndarray,
+                            count: int):
+    """The `count` lowest eigenpairs (E, W) of a sector block H_b that
+    commutes with the antiunitary w -> S conj(w), S[pi[i], i] = s[i],
+    solved as the real symmetric matrix U^dag H_b U with U U^T = S.
+    None if pi is not an involution, S is not symmetric or that matrix is
+    not real to 1e-12 ||H_b||_inf."""
+    dim = H_b.shape[0]
+    idx = np.arange(dim)
+    if not (np.array_equal(pi[pi], idx)
+            and np.allclose(s[pi], s, rtol=0, atol=1e-12)):
+        return None
+    # U[:, f] for a fixed f is sqrt(s_f) e_f; for a pair p < q = pi[p] the
+    # columns p and q are sqrt(s_p / 2) (e_p + e_q) and i sqrt(s_p / 2) (e_p - e_q)
+    root = np.sqrt(s)
+    f, p = np.flatnonzero(pi == idx), np.flatnonzero(pi > idx)
+    q, c = pi[p], root[p] / np.sqrt(2)
+    val = np.concatenate([root[f], c, c, 1j * c, -1j * c])
+    row, col = np.concatenate([f, p, q, p, q]), np.concatenate([f, p, p, q, q])
+    U = sp.csr_matrix((val, (row, col)), shape=(dim, dim))
+    H_r = sp.csr_matrix((val.conj(), (col, row)), shape=(dim, dim)) @ H_b @ U
+    if np.abs(H_r.data.imag).max(initial=0.0) > 1e-12 * spla.norm(H_b, ord=np.inf):
+        return None
+    H_r = H_r.real  # drop the complex copy before the solve
+    E, W_r = lowest_eigenstates(H_r, count)
+    return E, U @ W_r
+
+
 def sector_eigenstates(
     H: sp.csr_matrix, basis: FockBasis, geom: LatticeGeometry,
     alpha: Fraction, count: int,
@@ -258,6 +288,17 @@ def sector_eigenstates(
     (kx, ky) holds the vectors with T_x v = exp(2 pi i kx / order) v and
     Y v = exp(2 pi i ky / order_y) v.  One sector per orbit of kx -> kx +
     shift is diagonalized for every ky; the others are its T_y images.
+
+    The mirror M: (j, k) -> (-j mod Lx, k) of both species conjugates the
+    Landau-gauge H, so Theta = K M (K complex conjugation) commutes with
+    H, inverts T_x and keeps Y: it maps the sector (kx, ky) onto (kx, -ky).
+    Where 2 ky = 0 mod order_y, Theta acts on the orbit basis of the block
+    as S K: the orbit of representative r goes to the orbit pi(r) of x =
+    M r, with the phase s_r = chi(x) / (phase of x from its representative).
+    S is a phase permutation with S conj(S) = 1, and U, sqrt(s) on a fixed
+    orbit and sqrt(s / 2) [[1, i], [1, -i]] on a pair, has U U^T = S, so
+    U^dag H_b U is real symmetric and is solved by real Lanczos.  A block
+    that fails those checks, and every other block, is solved complex.
 
     E is ascending, ties in (kx, ky) order; V is (dim, count) with
     orthonormal columns, at most DENSE_BYTES; sectors[i] = (kx, ky) of
@@ -316,6 +357,11 @@ def sector_eigenstates(
             ok[n] &= ~fixed | (np.abs(ph - chi) < 1e-8)
     length = order * order_y / n_fixed  # orbit sizes
     orbit = np.searchsorted(reps, rep)
+    # the image of each representative under the mirror M of both species
+    site = np.arange(geom.n_sites)
+    mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
+    mx = np.concatenate([mx, mx + geom.n_sites])
+    mirror = basis.index(np.sort(mx[basis.modes[reps]], axis=1))
 
     # P maps orbit r to the sector vector conj(chi(g)) g|r> / sqrt(L), and
     # since H commutes with the group, P^dag H P = diag(sqrt L) H[reps] P
@@ -332,7 +378,14 @@ def sector_eigenstates(
         if P.shape[1]:
             kept = np.flatnonzero(ok[n])
             H_b = (sp.diags(np.sqrt(length[kept])) @ H[reps[kept]] @ P).tocsr()
-            E, W = lowest_eigenstates(H_b, min(count, P.shape[1]))
+            solved = None
+            x = mirror[kept]
+            if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
+                s_x = np.exp(2j * np.pi * (kx * a_of[x] / order
+                                           + ky * c_of[x] / order_y)) / ph_of[x]
+                solved = _real_frame_eigenstates(H_b, column[orbit[x]], s_x,
+                                                 min(count, P.shape[1]))
+            E, W = solved or lowest_eigenstates(H_b, min(count, P.shape[1]))
         blocks.append((P, W))
         for j in range(m):
             E_all.append(E)

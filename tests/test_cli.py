@@ -205,6 +205,25 @@ class TestGround:
         np.testing.assert_allclose(shifted["laughlin_overlap"],
                                    base["laughlin_overlap"], rtol=0, atol=1e-12)
 
+    def test_time_reversed_flux_reports_the_reduced_flux(self, tmp_path, capsys):
+        # 3/4 builds the links of -1/4, the complex conjugates of those of 1/4:
+        # the same spectrum and the conjugate Laughlin states at filling 1/2
+        reports = []
+        for alpha in ("1/4", "3/4", "-1/4"):
+            out = tmp_path / "g.json"
+            rc, _, _ = run(["ground", "--lx", "4", "--ly", "4", "--n", "2",
+                            f"--alpha={alpha}", "--output", str(out)], capsys)
+            assert rc == 0
+            reports.append(json.loads(out.read_text()))
+        base = reports[0]
+        for reversed_ in reports[1:]:
+            assert reversed_["filling_factor"] == base["filling_factor"] == "1/2"
+            np.testing.assert_allclose(reversed_["energies"], base["energies"],
+                                       rtol=0, atol=1e-10)
+            assert len(reversed_["laughlin_overlap"]) == 2
+            np.testing.assert_allclose(reversed_["laughlin_overlap"],
+                                       base["laughlin_overlap"], rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("argv, problem", [
         # 5 bosons on 8x8 would hit the basis cap: the count is checked first
         (["--lx", "8", "--ly", "8", "--n", "5", "--count", "0"], "--count"),

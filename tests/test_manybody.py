@@ -15,7 +15,8 @@ from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                links_from_phases, magnetic_translation_x,
                                magnetic_translation_y, uniform_phase_pattern)
 from gaugelatt.laughlin import laughlin_lattice_states, laughlin_overlap
-from gaugelatt.manybody import (DIM_CAP, build_fock_basis,
+from gaugelatt.manybody import (DIM_CAP, _real_frame_eigenstates,
+                                build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
                                 purity, second_quantize, sector_eigenstates)
@@ -251,6 +252,14 @@ def small_tori(draw, coupling=st.floats(0.5, 12.0)):
     return torus(Lx, Ly), alpha, N, params
 
 
+def fock_mirror(basis, geom):
+    """Sparse Fock-space matrix of the mirror (j, k) -> (-j mod Lx, k) of
+    both species."""
+    j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
+    return fock_translation(basis, geom, (-j % geom.Lx) * geom.Ly + k,
+                            np.zeros(geom.n_sites))
+
+
 def torus_hamiltonian(geom, alpha, N, params):
     links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
                               alpha=alpha)
@@ -274,6 +283,87 @@ class TestSectorEigenstates:
         assert abs(Ty @ H - H @ Ty).max() < 1e-12
         flux = np.exp(2j * np.pi * float(N * alpha * s * b))
         assert abs(Ty @ Tx - flux * (Tx @ Ty)).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=small_tori(coupling=st.floats(0.0, 12.0)))
+    @example(case=(torus(4, 4), Fraction(1, 4), 2, ModelParams(
+        J=1.0, omega=10.0, U=10.0, J2=0.2)))
+    @example(case=(torus(3, 4), Fraction(1, 3), 1, ModelParams(J2=0.3)))
+    def test_mirror_is_an_antiunitary_symmetry(self, case):
+        # K M, with M the mirror j -> -j, keeps H, inverts T_x and keeps Y
+        geom, alpha, N, params = case
+        basis, H = torus_hamiltonian(*case)
+        s, b, _, _, m, _ = translation_group(geom, alpha, N)
+        M = fock_mirror(basis, geom)
+        Tx = fock_translation(basis, geom, magnetic_translation_x(geom, alpha, s),
+                              np.zeros(geom.n_sites))
+        Y = fock_translation(basis, geom,
+                             *magnetic_translation_y(geom, alpha, b * m))
+        assert abs(M @ H @ M - H.conj()).max() < 1e-12
+        assert abs(M @ Tx @ M - Tx.conj().T).max() < 1e-12
+        assert abs(M @ Y @ M - Y.conj()).max() < 1e-12
+
+    @pytest.mark.parametrize("case, kinds", [
+        # 4x4, alpha = 1/4, N = 2: order_y = 2, so K M_x maps every sector
+        # (kx, ky) onto itself
+        ((torus(4, 4), Fraction(1, 4), 2,
+          ModelParams(J=1.0, omega=10.0, U=10.0, J2=0.2)), "ffff"),
+        # 3x4, alpha = 1/3, N = 1: order_y = 4; ky = 1 and 3 swap
+        ((torus(3, 4), Fraction(1, 3), 1, ModelParams(J2=0.3)), "fcfc"),
+    ])
+    def test_self_conjugate_sectors_are_solved_real(self, case, kinds,
+                                                     monkeypatch):
+        basis, H = torus_hamiltonian(*case)
+        seen = []
+
+        def recording(H_b, count):
+            seen.append(H_b.dtype.kind)
+            return lowest_eigenstates(H_b, count)
+
+        monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
+        E, _, _ = sector_eigenstates(H, basis, *case[:2], 4)
+        assert "".join(seen) == kinds
+        scale = max(spla.norm(H, ord=np.inf), 1.0)
+        np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:4],
+                                   rtol=0, atol=1e-9 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 90))
+    def test_real_frame_matches_the_dense_solve(self, seed, dim):
+        # B + S conj(B) S^dag commutes with the antiunitary w -> S conj(w),
+        # S[pi[i], i] = s[i], for any Hermitian B, involution pi and s = s(pi)
+        rng = np.random.default_rng(seed)
+        idx = np.arange(dim)
+        pairs = rng.permutation(dim)[:2 * rng.integers(0, dim // 2 + 1)]
+        pi = idx.copy()
+        pi[pairs[0::2]], pi[pairs[1::2]] = pairs[1::2], pairs[0::2]
+        s = np.exp(2j * np.pi * rng.random(dim))
+        s = np.where(pi < idx, s[pi], s)
+        S = sp.csr_matrix((s, (pi, idx)), shape=(dim, dim))
+        B = (sp.random(dim, dim, density=0.2, random_state=rng)
+             + 1j * sp.random(dim, dim, density=0.2, random_state=rng))
+        B = B + B.conj().T
+        H_b = (B + S @ B.conj() @ S.conj().T).tocsr()
+        count = min(3, dim)
+        E, W = _real_frame_eigenstates(H_b, pi, s, count)
+        scale = max(spla.norm(H_b, ord=np.inf), 1.0)
+        np.testing.assert_allclose(E, np.linalg.eigvalsh(H_b.toarray())[:count],
+                                   rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(H_b @ W, W * E, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(W.conj().T @ W, np.eye(count), rtol=0,
+                                   atol=1e-12)
+
+    def test_real_frame_refuses_a_broken_symmetry(self):
+        # the identity is real in any unitary frame, and U^dag U is real
+        # for the U of pi = [1, 1], which is not unitary
+        eye = sp.identity(2, dtype=complex, format="csr")
+        H_b = sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]]))
+        fixed, swap, ones = np.arange(2), np.array([1, 0]), np.ones(2)
+        assert _real_frame_eigenstates(eye, np.array([1, 1]), ones, 1) is None
+        assert _real_frame_eigenstates(eye, swap, np.array([1, 1j]), 1) is None
+        assert _real_frame_eigenstates(H_b, fixed, ones, 1) is None
+        E, _ = _real_frame_eigenstates(H_b.real.tocsr(), fixed, ones, 1)
+        assert E == pytest.approx([1.0])
 
     # random couplings are far from the Laughlin regime, where the overlap
     # warns that it is low
