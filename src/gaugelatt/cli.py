@@ -85,16 +85,16 @@ def cmd_ground(args) -> int:
         "laughlin_overlap": None,
     }
     c_nums, purs, overlaps = [], [], []
-    sub = None
+    states = None
     if nu == Fraction(1, 2):
-        sub = laughlin.laughlin_lattice_states(args.n, reduced, geom)
+        states = laughlin.laughlin_lattice_states(args.n, reduced, geom)
     # the diagnostics describe the ground doublet
     for v in V.T[:2]:
-        C = manybody.motional_density_matrix(v, basis)  # rho = C C^dag
-        purs.append(manybody.purity(C))
+        F = manybody.motional_density_matrix(v, basis)  # factor of rho
+        purs.append(manybody.purity(F))
         c_nums.append(manybody.c_mode_number(v, basis))
-        if sub is not None:
-            overlaps.append(laughlin.laughlin_overlap(C, sub))
+        if states is not None:
+            overlaps.append(laughlin.laughlin_overlap(F, states))
     report["purities"] = purs
     report["c_number"] = float(np.mean(c_nums))
     if overlaps:

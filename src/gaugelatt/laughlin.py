@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .lattice import LatticeGeometry
-from .manybody import (FockBasis, build_fock_basis, subspace_overlap,
-                       symmetric_fock_to_product)
+from .manybody import build_fock_basis, subspace_overlap
 
 
 def theta_with_characteristics(z, tau: complex, a: float, b: float,
@@ -43,15 +41,6 @@ def theta1(z, tau: complex, tol: float = 1e-14):
     return -theta_with_characteristics(z, tau, 0.5, 0.5, tol)
 
 
-@dataclass(frozen=True)
-class LaughlinSubspace:
-    """Two orthonormal half-filling ground-state candidates over the
-    single-species motional Fock space."""
-
-    states: tuple  # two complex vectors over the motional Fock basis
-    basis: FockBasis
-
-
 # Center-of-mass characteristics for the two degenerate states, matched to
 # the lattice Landau gauge used throughout (x-bond phases 2 pi alpha k with
 # the per-column wrap twist).  Fixed by the magnetic-translation closure and
@@ -62,9 +51,10 @@ _COM_B = 0.0
 
 
 def laughlin_lattice_states(N: int, alpha: Fraction,
-                            geom: LatticeGeometry) -> LaughlinSubspace:
+                            geom: LatticeGeometry) -> np.ndarray:
     """Evaluate the two m=2 torus Laughlin wavefunctions at the site centers
-    and symmetrize into bosonic Fock amplitudes.
+    and symmetrize into bosonic Fock amplitudes: a (2, size) array whose
+    rows are orthonormal vectors over build_fock_basis(Lx Ly, N).
 
     The construction is the center-of-mass theta factor (two characteristics)
     times the squared odd-theta relative factor times the Landau-gauge
@@ -74,9 +64,7 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     """
     alpha = Fraction(alpha)
     if alpha < 0:
-        sub = laughlin_lattice_states(N, -alpha, geom)
-        return LaughlinSubspace(states=tuple(np.conj(v) for v in sub.states),
-                                basis=sub.basis)
+        return np.conj(laughlin_lattice_states(N, -alpha, geom))
     if not geom.is_torus:
         raise ValueError("Laughlin construction requires a magnetic torus")
     n_phi = alpha * geom.Lx * geom.Ly
@@ -96,9 +84,11 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
     zs = (j + 1j * k)[basis.modes]
     ys = k[basis.modes]
-    p, q = np.triu_indices(N, 1)
-    relative = np.prod(theta1(math.pi * (zs[:, p] - zs[:, q]) / L1, tau) ** m,
-                       axis=1)
+    # one particle pair at a time: no (size, N(N-1)/2) temporaries
+    relative = 1.0
+    for p, q in zip(*np.triu_indices(N, 1)):
+        relative = relative * theta1(math.pi * (zs[:, p] - zs[:, q]) / L1,
+                                     tau) ** m
     gauss = np.exp(-np.sum(ys ** 2, axis=1) / (2.0 * ell2))
     # bosonic normalization sqrt(N! / prod n_x!)
     weight = relative * gauss * np.sqrt(basis.arrangements())
@@ -117,18 +107,17 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     nrm = np.linalg.norm(v1)
     if nrm < 1e-8:
         raise RuntimeError("Laughlin pair degenerate after projection")
-    v1 = v1 / nrm
-    return LaughlinSubspace(states=(v0, v1), basis=basis)
+    return np.stack([v0, v1 / nrm])
 
 
-def laughlin_overlap(C: np.ndarray, sub: LaughlinSubspace) -> float:
-    """Tr(P_L rho P_L) of rho = C C^dag (the factor returned by
-    `motional_density_matrix`); depends only on the two-dimensional
-    subspace."""
-    if C.shape[0] != sub.basis.M ** sub.basis.N:
+def laughlin_overlap(F: np.ndarray, states: np.ndarray) -> float:
+    """Tr(P_L rho P_L) of the motional density matrix whose factor F
+    `motional_density_matrix` returns, P_L the projector onto the rows of
+    `states` (from `laughlin_lattice_states`); depends only on the
+    two-dimensional subspace."""
+    if F.shape[0] != states.shape[1]:
         raise ValueError("density matrix and subspace dimensions do not match")
-    val = subspace_overlap(
-        C, [symmetric_fock_to_product(v, sub.basis) for v in sub.states])
+    val = subspace_overlap(F, states)
     if val < 0.5:
         warnings.warn(
             "Laughlin overlap below 0.5: likely a gauge-convention mismatch "

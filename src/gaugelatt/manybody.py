@@ -411,45 +411,50 @@ def sector_eigenstates(
     return E, V, label_all[pick]
 
 
-def _first_quantized(amplitudes: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Expand a Fock vector into the symmetric first-quantized wavefunction,
-    a tensor with one axis of length M per particle.
-
-    Every ordering of a state's mode list carries its amplitude times
-    sqrt(prod n_m! / N!); an ordering reached by several permutations (a
-    repeated mode) is written several times with the same value.
-    """
-    psi = np.zeros((basis.M,) * basis.N, dtype=complex)
-    vals = np.asarray(amplitudes) / np.sqrt(basis.arrangements())
-    for perm in permutations(range(basis.N)):
-        psi.flat[_pack(basis.modes[:, list(perm)], basis.M)] = vals
-    return psi
+def _label_permutations(N: int) -> np.ndarray:
+    """The N! particle orderings as index maps of the 2^N internal-label
+    patterns (binary, particle 0 the top bit): transposes of the labels."""
+    labels = np.arange(2 ** N).reshape((2,) * N)
+    return np.array([labels.transpose(pi).ravel()
+                     for pi in permutations(range(N))])
 
 
 def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Partial trace over the internal (a/b) labels of the Fock vector v, as
-    its factor.
+    a trace-one factor F of shape (C(ns+N-1, N), 2^N), ns = basis.M / 2.
 
-    The state is expanded in the first-quantized symmetric basis
-    |motional positions> (x) |internal labels> and the labels are traced,
-    leaving a trace-one matrix over the N-fold motional product space.  It
-    is returned as the (n_sites^N, 2^N) array C with rho = C C^dag.
+    Row X is a state of the motional Fock basis build_fock_basis(ns, N),
+    the basis of the Laughlin states, and column s a label pattern (binary,
+    particle 0 the top bit) along X's sorted site list: F[X, s] =
+    v[i] sqrt(arr_ns(X) / arr_M(i)), i the bilayer state sort(X + ns s) and
+    arr the `arrangements`.  The first-quantized factor C over the ns^N
+    ordered site lists, rho = C C^dag, is never formed (16 (2 ns)^N bytes
+    to expand): its label Gram matrix is C^dag C = mean_pi P_pi F^dag F
+    P_pi^T over the N! particle orderings pi, which `purity` and
+    `subspace_overlap` read.
     """
     if basis.M % 2 != 0:
         raise ValueError("mode count must be even (two internal states)")
-    ns = basis.M // 2
-    N = basis.N
-    # mode mu = s*ns + x: split each particle axis into (s, x), then move
-    # the positions to the rows and the internal labels to the columns
-    psi = _first_quantized(v, basis).reshape((2, ns) * N)
-    axes = [2 * k + 1 for k in range(N)] + [2 * k for k in range(N)]
-    return psi.transpose(axes).reshape(ns ** N, 2 ** N)
+    ns, N = basis.M // 2, basis.N
+    motion = build_fock_basis(ns, N)
+    amp = v / np.sqrt(basis.arrangements())  # first-quantized amplitudes
+    F = np.empty((motion.size, 2 ** N), dtype=complex)
+    for s, label in enumerate(np.ndindex((2,) * N)):
+        F[:, s] = amp[basis.index(np.sort(motion.modes + ns * np.array(label),
+                                          axis=1))]
+    F *= np.sqrt(motion.arrangements())[:, None]
+    return F
 
 
-def purity(C: np.ndarray) -> float:
-    """Tr(rho^2) of rho = C C^dag."""
-    G = C.conj().T @ C  # small (2^N x 2^N) Gram matrix
-    return float(np.real(np.sum(np.abs(G) ** 2)))  # Tr(G^2) for Hermitian G
+def purity(F: np.ndarray) -> float:
+    """Tr(rho^2) of the motional density matrix whose factor F
+    `motional_density_matrix` returns: Tr(G^2) = ||G||_F^2 for the label
+    Gram matrix G = mean_pi P_pi F^dag F P_pi^T."""
+    G = F.conj().T @ F
+    G = np.mean([G[np.ix_(p, p)]
+                 for p in _label_permutations(F.shape[1].bit_length() - 1)],
+                axis=0)
+    return float(np.sum(np.abs(G) ** 2))
 
 
 def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
@@ -467,18 +472,11 @@ def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
     return float(np.real(np.vdot(v, big @ v)))
 
 
-def subspace_overlap(C: np.ndarray, states: list[np.ndarray]) -> float:
-    """Tr(P rho P) of rho = C C^dag, for the projector onto orthonormal
-    symmetric motional states given as first-quantized product-space
-    vectors."""
-    total = 0.0
-    for s in states:
-        w = C.conj().T @ s  # length 2^N
-        total += float(np.real(np.vdot(w, w)))
-    return total
-
-
-def symmetric_fock_to_product(vec: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Embed an N-boson Fock vector into the first-quantized product space
-    (dimension M^N)."""
-    return _first_quantized(vec, basis).ravel()
+def subspace_overlap(F: np.ndarray, states) -> float:
+    """Tr(P rho P) of the motional density matrix whose factor F
+    `motional_density_matrix` returns, for the projector P onto orthonormal
+    motional Fock vectors (the rows of `states`): the sum over states l of
+    ||mean_pi P_pi F^T conj(l)||^2."""
+    w = F.T @ np.conj(states).T  # (2^N, number of states)
+    w = w[_label_permutations(F.shape[1].bit_length() - 1)].mean(axis=0)
+    return float(np.sum(np.abs(w) ** 2))

@@ -151,11 +151,16 @@ def bloch_block(alpha_p: int, alpha_q: int, params: ModelParams,
     Layout: a-modes m=0..q-1 then b-modes m=0..q-1, m the row index inside
     the magnetic cell.  a is diagonal with -2J cos(kx + 2 pi alpha m) (plus
     the second-neighbor term), b is the cyclic Harper shift with phase
-    e^{i ky} per bond, and omega couples a_m to b_m.
+    e^{i ky} per bond, and omega couples a_m to b_m.  An omega below
+    1e-20 J is taken as 0, which moves no level by more than 1e-20 J
+    (Weyl): OpenBLAS 0.3.31's Hermitian eigvalsh misplaces levels of
+    blocks with entries near 1e-79 (by 1e-11 at omega = 1e-78, p/q = 1/4).
     """
     q = alpha_q
     alpha = alpha_p / alpha_q
     J, w, J2 = params.J, params.omega, params.J2
+    if w < 1e-20 * J:
+        w = 0.0
     kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float),
                                  np.asarray(ky, dtype=float))
     m = np.arange(q)

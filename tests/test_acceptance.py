@@ -19,8 +19,7 @@ from gaugelatt.laughlin import (laughlin_lattice_states, laughlin_overlap,
 from gaugelatt.manybody import (build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
-                                purity, second_quantize, subspace_overlap,
-                                symmetric_fock_to_product)
+                                purity, second_quantize, subspace_overlap)
 from gaugelatt.singleparticle import (ModelParams, build_target_hamiltonian,
                                       butterfly_scan,
                                       commensurate_bloch_spectrum,
@@ -80,7 +79,8 @@ def reference_ed_j2(reference_ed):
 
 def target_model_ground_pair(geom, links, U=10.0):
     """Two-state ground space of the single-species effective model with an
-    on-site interaction, embedded in the first-quantized product space."""
+    on-site interaction, as the rows of a (2, size) array over the motional
+    Fock basis build_fock_basis(Lx Ly, 2)."""
     ns = geom.n_sites
     H1 = build_target_hamiltonian(geom, links, 1.0)
     basis = build_fock_basis(ns, 2)
@@ -88,7 +88,7 @@ def target_model_ground_pair(geom, links, U=10.0):
     for i in np.flatnonzero(basis.modes[:, 0] == basis.modes[:, 1]):
         H[i, i] += 2.0 * U
     _, V = lowest_eigenstates(H.tocsr(), 2)
-    return [symmetric_fock_to_product(v, basis) for v in V.T]
+    return V.T
 
 
 def test_criterion_1_trap_design():

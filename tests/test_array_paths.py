@@ -98,6 +98,8 @@ def reference_bloch_block(alpha_p, alpha_q, params, kx, ky):
     q = alpha_q
     alpha = alpha_p / alpha_q
     J, w, J2 = params.J, params.omega, params.J2
+    if w < 1e-20 * J:  # the program's cut-off, below any level's precision
+        w = 0.0
     m = np.arange(q)
     H = np.zeros((2 * q, 2 * q), dtype=complex)
     diag_a = -2.0 * J * np.cos(kx + 2.0 * np.pi * alpha * m)
@@ -351,6 +353,16 @@ class TestKClasses:
         kx, ky = uniform_k(nx), uniform_k(ny)
         res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
         assert_pooled_matches_per_k(res, p, q, params, kx, ky)
+
+    def test_tiny_omega_gives_the_levels_of_omega_zero(self):
+        # eigvalsh puts these levels 1e-11 off if omega = 1e-78 is kept
+        k = uniform_k(8)
+        tiny, zero = (bloch_block_spectrum(Fraction(1, 4),
+                                           ModelParams(J=1.0, omega=omega), k, k)
+                      for omega in (1e-78, 0.0))
+        ref = zero.eigenvalues
+        assert np.all(np.abs(tiny.eigenvalues - ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     @settings(max_examples=100, deadline=None)
     @given(flux=fluxes, params=bilayer_params, Lx=st.integers(1, 12),

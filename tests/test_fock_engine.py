@@ -2,8 +2,10 @@
 
 The reference functions below are the earlier tuple-basis implementations:
 a tuple of sorted mode tuples, a dict for ranking, and one Python loop per
-basis state; and the first-quantized product-space route that one-body
-unitaries such as the magnetic translations took before `FockBasis.permute`.
+basis state; the first-quantized product-space route that one-body
+unitaries such as the magnetic translations took before `FockBasis.permute`;
+and the product-space form of the internal-state diagnostics that
+`motional_density_matrix`, `purity` and `subspace_overlap` replaced.
 """
 
 import math
@@ -24,9 +26,10 @@ from gaugelatt.laughlin import (laughlin_lattice_states, theta1,
 from gaugelatt.manybody import (_pack, build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
-                                purity, second_quantize,
-                                symmetric_fock_to_product)
+                                purity, second_quantize, subspace_overlap)
 from gaugelatt.singleparticle import ModelParams, build_bilayer_hamiltonian
+from product_space import (reference_factor, reference_first_quantized,
+                           reference_purity, reference_subspace_overlap)
 
 
 # ---------------------------------------------------------------- references
@@ -84,7 +87,7 @@ def reference_interaction(M, N, U):
     return diag
 
 
-def reference_first_quantized(vec, M, N):
+def small_n_first_quantized(vec, M, N):
     """The N <= 2 expansion the general one replaced."""
     states, _ = reference_states(M, N)
     if N == 1:
@@ -104,7 +107,7 @@ def reference_first_quantized(vec, M, N):
 
 def product_to_symmetric_fock(psi, basis):
     """Fock amplitudes of the symmetric part of a product-space vector; the
-    inverse of `symmetric_fock_to_product` on symmetric vectors.
+    inverse of `reference_first_quantized` on symmetric vectors.
 
     Amplitude i is the sum of psi over all N! orderings of state i's mode
     list, divided by sqrt(N! prod n_m!).
@@ -119,7 +122,8 @@ def product_to_symmetric_fock(psi, basis):
 def apply_one_body_unitary(U, vec, basis):
     """Apply a one-body unitary to an N-boson Fock vector: U on every
     particle axis of the first-quantized wavefunction (16 M^N bytes)."""
-    psi = symmetric_fock_to_product(vec, basis).reshape((basis.M,) * basis.N)
+    psi = reference_first_quantized(vec, basis.M, basis.N).reshape(
+        (basis.M,) * basis.N)
     for axis in range(basis.N):
         psi = np.moveaxis(np.tensordot(U, psi, axes=(1, axis)), 0, axis)
     return product_to_symmetric_fock(psi, basis)
@@ -268,8 +272,8 @@ def test_hamiltonian_matches_loop(N):
 def test_expansion_matches_small_n_code(M, N):
     basis = build_fock_basis(M, N)
     v = random_state(basis, 3)
-    np.testing.assert_allclose(symmetric_fock_to_product(v, basis),
-                               reference_first_quantized(v, M, N),
+    np.testing.assert_allclose(reference_first_quantized(v, M, N),
+                               small_n_first_quantized(v, M, N),
                                rtol=0, atol=1e-15)
 
 
@@ -277,7 +281,7 @@ def test_expansion_matches_small_n_code(M, N):
 def test_expansion_round_trip(M, N):
     basis = build_fock_basis(M, N)
     v = random_state(basis, N)
-    psi = symmetric_fock_to_product(v, basis)
+    psi = reference_first_quantized(v, M, N)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     t = psi.reshape((M,) * N)
     for perm in permutations(range(N)):
@@ -333,11 +337,32 @@ def test_three_boson_product_state_has_unit_purity():
     for labels in np.ndindex(2, 2, 2):
         modes = np.sort(np.array(labels) * ns + np.arange(3))
         amps[basis.index(modes)] = np.prod([(1, -1)[s] for s in labels]) / 8 ** 0.5
-    C = motional_density_matrix(amps, basis)
-    assert C.shape == (ns ** 3, 8)
-    assert np.linalg.norm(C) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert purity(C) == pytest.approx(1.0, abs=1e-12)
+    F = motional_density_matrix(amps, basis)
+    assert F.shape == (math.comb(ns + 2, 3), 8)
+    assert np.linalg.norm(F) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert purity(F) == pytest.approx(1.0, abs=1e-12)
     assert c_mode_number(amps, basis) == pytest.approx(3.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ns=st.integers(1, 6), N=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fock_diagnostics_match_product_space(ns, N, seed):
+    # a random state and a random orthonormal motional pair (one state when
+    # the motional basis has one)
+    basis = build_fock_basis(2 * ns, N)
+    v = random_state(basis, seed)
+    size = build_fock_basis(ns, N).size
+    rng = np.random.default_rng(seed)
+    pair = np.linalg.qr(rng.normal(size=(size, min(2, size)))
+                        + 1j * rng.normal(size=(size, min(2, size))))[0].T
+    F = motional_density_matrix(v, basis)
+    C = reference_factor(v, 2 * ns, N)
+    assert F.shape == (size, 2 ** N)
+    assert abs(np.linalg.norm(F) - 1.0) <= 1e-12
+    assert abs(purity(F) - reference_purity(C)) <= 1e-12
+    assert abs(subspace_overlap(F, pair)
+               - reference_subspace_overlap(C, pair, ns, N)) <= 1e-12
 
 
 # ------------------------------------------------------------------ Laughlin
@@ -357,14 +382,14 @@ def test_theta_arrays_match_scalar_loop():
                                             (6, 4, Fraction(1, 4), 3)])
 def test_laughlin_matches_loop(Lx, Ly, alpha, N):
     geom = torus(Lx, Ly)
-    sub = laughlin_lattice_states(N, alpha, geom)
+    states = laughlin_lattice_states(N, alpha, geom)
     ref = np.conj(reference_laughlin_amplitudes(N, alpha, geom, 0.0))
     ref /= np.linalg.norm(ref)
-    np.testing.assert_allclose(sub.states[0], ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(states[0], ref, rtol=0, atol=1e-12)
     ref1 = np.conj(reference_laughlin_amplitudes(N, alpha, geom, 0.5))
     ref1 /= np.linalg.norm(ref1)
     ref1 -= np.vdot(ref, ref1) * ref
-    np.testing.assert_allclose(sub.states[1], ref1 / np.linalg.norm(ref1),
+    np.testing.assert_allclose(states[1], ref1 / np.linalg.norm(ref1),
                                rtol=0, atol=1e-12)
 
 

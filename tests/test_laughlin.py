@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
                                magnetic_translation_x, uniform_phase_pattern)
-from gaugelatt.laughlin import (LaughlinSubspace, laughlin_lattice_states,
-                                laughlin_overlap, theta1,
-                                theta_with_characteristics)
+from gaugelatt.laughlin import (laughlin_lattice_states, laughlin_overlap,
+                                theta1, theta_with_characteristics)
 from gaugelatt.manybody import (build_fock_basis,
                                 build_manybody_hamiltonian, lowest_eigenstates,
-                                motional_density_matrix,
-                                symmetric_fock_to_product)
+                                motional_density_matrix)
 from gaugelatt.singleparticle import ModelParams
 
 
@@ -27,6 +25,16 @@ complex_z = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
 
 def torus(Lx, Ly):
     return LatticeGeometry(Lx, Ly, boundary=Boundary.MAGNETIC_TORUS)
+
+
+def in_species_a(motional, geom, N):
+    """The bilayer Fock vector, and its basis, whose bosons all carry label
+    a with the motional amplitudes `motional` (over build_fock_basis(Lx Ly,
+    N))."""
+    basis = build_fock_basis(2 * geom.n_sites, N)
+    v = np.zeros(basis.size, dtype=complex)
+    v[basis.index(build_fock_basis(geom.n_sites, N).modes)] = motional
+    return v, basis
 
 
 class TestTheta:
@@ -76,22 +84,24 @@ def reference_instance():
 class TestLaughlinStates:
     def test_orthonormal_pair(self, reference_instance):
         _, _, _, sub = reference_instance
-        v0, v1 = sub.states
+        v0, v1 = sub
         assert np.linalg.norm(v0) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(v0, v1)) < 1e-10
 
     def test_double_occupancy_suppressed(self, reference_instance):
         geom, _, _, sub = reference_instance
-        for v in sub.states:
-            double = sub.basis.modes[:, 0] == sub.basis.modes[:, 1]
+        modes = build_fock_basis(geom.n_sites, 2).modes
+        for v in sub:
+            double = modes[:, 0] == modes[:, 1]
             docc = 2 * np.sum(np.abs(v[double]) ** 2)
             assert docc / geom.n_sites < 0.02
 
     def test_magnetic_translation_closes_subspace(self, reference_instance):
         geom, alpha, _, sub = reference_instance
-        pos = sub.basis.permute(magnetic_translation_x(geom, alpha, 2))
-        P = np.column_stack(sub.states)
+        basis = build_fock_basis(geom.n_sites, 2)
+        pos = basis.permute(magnetic_translation_x(geom, alpha, 2))
+        P = sub.T
         TP = np.empty_like(P)
         TP[pos] = P
         proj = P @ (P.conj().T @ TP)
@@ -113,27 +123,27 @@ class TestLaughlinStates:
 
 class TestLaughlinOverlap:
     def test_projector_on_own_state(self, reference_instance):
-        _, _, _, sub = reference_instance
-        # rho = |L_0><L_0| built directly from the product-space vector
-        psi = symmetric_fock_to_product(sub.states[0], sub.basis)
-        assert laughlin_overlap(psi[:, None], sub) == pytest.approx(1.0,
-                                                                    abs=1e-10)
+        geom, _, _, sub = reference_instance
+        # rho = |L_0><L_0|: the bosons carry L_0 in species a
+        v, basis = in_species_a(sub[0], geom, 2)
+        assert laughlin_overlap(motional_density_matrix(v, basis),
+                                sub) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_state_gives_zero(self, reference_instance):
-        _, _, _, sub = reference_instance
-        basis = sub.basis
-        v = np.zeros(basis.size, dtype=complex)
-        v[0] = 1.0  # double occupancy state; Laughlin amplitude vanishes there
-        v -= sum(np.vdot(s, v) * s for s in sub.states)
-        v /= np.linalg.norm(v)
-        psi = symmetric_fock_to_product(v, basis)
+        geom, _, _, sub = reference_instance
+        motional = np.zeros(sub.shape[1], dtype=complex)
+        motional[0] = 1.0  # double occupancy; Laughlin amplitude vanishes there
+        motional -= sum(np.vdot(s, motional) * s for s in sub)
+        motional /= np.linalg.norm(motional)
+        v, basis = in_species_a(motional, geom, 2)
         with pytest.warns(RuntimeWarning):
-            val = laughlin_overlap(psi[:, None], sub)
+            val = laughlin_overlap(motional_density_matrix(v, basis), sub)
         assert val < 1e-10
 
     def test_factor_of_another_size_rejected(self, reference_instance):
-        _, _, _, sub = reference_instance
-        C = np.zeros((sub.basis.M ** sub.basis.N // 4, 4))
+        geom, _, _, sub = reference_instance
+        # rows of the first-quantized factor: ordered site pairs
+        C = np.zeros((geom.n_sites ** 2, 4))
         with pytest.raises(ValueError, match="dimensions do not match"):
             laughlin_overlap(C, sub)
 
@@ -162,10 +172,7 @@ class TestLaughlinOverlap:
         rng = np.random.default_rng(9)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         Q, _ = np.linalg.qr(a)
-        mixed = LaughlinSubspace(
-            states=(Q[0, 0] * sub.states[0] + Q[0, 1] * sub.states[1],
-                    Q[1, 0] * sub.states[0] + Q[1, 1] * sub.states[1]),
-            basis=sub.basis)
+        mixed = Q @ sub
         rho = motional_density_matrix(V[:, 0], basis)
         assert laughlin_overlap(rho, mixed) == pytest.approx(
             laughlin_overlap(rho, sub), abs=1e-10)

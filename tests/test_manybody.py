@@ -21,6 +21,7 @@ from gaugelatt.manybody import (DIM_CAP, _real_frame_eigenstates,
                                 lowest_eigenstates, motional_density_matrix,
                                 purity, second_quantize, sector_eigenstates)
 from gaugelatt.singleparticle import ModelParams, build_bilayer_hamiltonian
+from product_space import reference_factor, reference_purity
 
 
 def torus(Lx, Ly):
@@ -409,16 +410,21 @@ class TestSectorEigenstates:
                                    rtol=0, atol=1e-12)
 
         # diagnostics summed over a cluster do not depend on its basis;
-        # purity is quadratic in rho, so it is taken of the summed rho
-        sub = (laughlin_lattice_states(N, alpha, geom)
-               if alpha * geom.n_sites == 2 * N else None)
+        # purity is quadratic in rho, so it is taken of the summed rho, whose
+        # factor is the first-quantized factors side by side
+        states = (laughlin_lattice_states(N, alpha, geom)
+                  if alpha * geom.n_sites == 2 * N else None)
         edges = np.flatnonzero(np.diff(w[:count]) >= gap) + 1
         for cluster in np.split(np.arange(count), edges):
             sums = []
             for X in (V[:, cluster], V_ref[:, cluster]):
-                C = np.hstack([motional_density_matrix(v, basis) for v in X.T])
-                sums.append([purity(C), sum(c_mode_number(v, basis) for v in X.T)]
-                            + ([laughlin_overlap(C, sub)] if sub else []))
+                C = np.hstack([reference_factor(v, basis.M, N) for v in X.T])
+                sums.append([reference_purity(C),
+                             sum(c_mode_number(v, basis) for v in X.T)])
+                if states is not None:
+                    sums[-1].append(sum(
+                        laughlin_overlap(motional_density_matrix(v, basis),
+                                         states) for v in X.T))
             np.testing.assert_allclose(sums[0], sums[1], rtol=0, atol=1e-10)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
