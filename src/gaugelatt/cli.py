@@ -42,11 +42,10 @@ def cmd_butterfly(args) -> int:
         for r in results:
             row = f"{r.p},{r.q},{r.alpha:.12g},{{:.12g}}\n".format
             # a level repeats once per k-point of its class: format it once
-            levels, counts = np.unique(r.eigenvalues, return_counts=True)
-            fh.writelines(map(operator.mul, map(row, levels.tolist()),
-                              counts.tolist()))
-            count += len(r.eigenvalues)
-            lo, hi = min(lo, r.eigenvalues.min()), max(hi, r.eigenvalues.max())
+            fh.writelines(map(operator.mul, map(row, r.levels.tolist()),
+                              r.counts.tolist()))
+            count += int(r.counts.sum())
+            lo, hi = min(lo, r.levels[0]), max(hi, r.levels[-1])
     plot = out.with_suffix(".plot.txt")
     with open(plot, "w") as fh:
         fh.write("x: energy/J\ny: alpha\nsource: " + out.name + "\n"

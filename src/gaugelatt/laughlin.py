@@ -19,7 +19,8 @@ def theta_with_characteristics(z, tau: complex, a: float, b: float,
 
     Elementwise over an array z; a scalar z gives a complex.  Each sum
     window is centered on its dominant term and sized so the truncation
-    error is below `tol` relative to the peak term.
+    error is below `tol` relative to the peak term.  The window is summed
+    one term at a time, so memory stays O(len z).
     """
     im_tau = tau.imag
     if im_tau <= 0:
@@ -30,9 +31,11 @@ def theta_with_characteristics(z, tau: complex, a: float, b: float,
     center = -z.imag / (math.pi * im_tau) - a
     width = math.sqrt(max(-math.log(tol * 1e-3), 1.0) / (math.pi * im_tau)) + 2.0
     n_lo = np.floor(center - width)
-    n = n_lo[..., None] + np.arange(math.ceil(2.0 * width) + 2) + a
-    expo = 1j * math.pi * tau * n * n + 2j * n * (z[..., None] + math.pi * b)
-    out = np.sum(np.exp(expo), axis=-1)
+    zb = z + math.pi * b
+    out = np.zeros_like(z)
+    for i in range(math.ceil(2.0 * width) + 2):
+        n = n_lo + i + a
+        out += np.exp(1j * math.pi * tau * n * n + 2j * n * zb)
     return complex(out) if out.ndim == 0 else out
 
 

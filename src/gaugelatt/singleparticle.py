@@ -34,13 +34,23 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """The spectrum of the flux p/q in units of J, as levels with
+    multiplicities: `levels` ascending, `counts[i]` >= 1 copies of
+    `levels[i]`.  `bloch_block_spectrum` merges equal levels; a
+    finite-lattice spectrum keeps every eigenvalue with a count of 1."""
     p: int
     q: int
-    eigenvalues: np.ndarray  # sorted ascending, units of J
+    levels: np.ndarray
+    counts: np.ndarray
 
     @property
     def alpha(self) -> float:
         return self.p / self.q
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue, ascending: each level repeated by its count."""
+        return np.repeat(self.levels, self.counts)
 
 
 def _hops(geom: LatticeGeometry, phases: np.ndarray, axis: int, step: int):
@@ -228,7 +238,9 @@ def _k_classes(k: np.ndarray,
 
 def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
                          kx_grid, ky_grid) -> SpectrumResult:
-    """Pooled eigenvalues of the magnetic Bloch blocks over a k grid.
+    """Pooled eigenvalues of the magnetic Bloch blocks over a k grid, as
+    the distinct levels of the pool and the number of copies of each: the
+    counts add up to 2q |kx_grid| |ky_grid|.
 
     The block spectrum depends on kx and ky only through q kx and q ky mod
     2 pi, up to sign: kx -> kx + 2 pi/q relabels the cell rows m cyclically,
@@ -272,8 +284,10 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     weights = np.repeat(np.concatenate([weight[solve],
                                         weight[partner[solve][mirror]]]), 2 * q)
     order = np.argsort(levels)
-    return SpectrumResult(p=p, q=q,
-                          eigenvalues=np.repeat(levels[order], weights[order]))
+    levels, weights = levels[order], weights[order]
+    first = np.flatnonzero(np.append(True, levels[1:] != levels[:-1]))
+    return SpectrumResult(p=p, q=q, levels=levels[first],
+                          counts=np.add.reduceat(weights, first))
 
 
 def commensurate_bloch_spectrum(alpha: Fraction, params: ModelParams,
@@ -298,7 +312,7 @@ def finite_lattice_spectrum(alpha: Fraction, params: ModelParams,
     H = build_bilayer_hamiltonian(geom, links, params)
     evals = np.linalg.eigvalsh(H.toarray())
     return SpectrumResult(p=alpha.numerator, q=alpha.denominator,
-                          eigenvalues=evals)
+                          levels=evals, counts=np.ones(evals.size, dtype=int))
 
 
 def farey_alphas(q_max: int) -> list[Fraction]:
@@ -316,11 +330,34 @@ def farey_alphas(q_max: int) -> list[Fraction]:
 def butterfly_scan(q_max: int, params: ModelParams,
                    resolution: int = 64) -> Iterator[SpectrumResult]:
     """Bloch spectra for every coprime p/q with q < q_max on a
-    resolution x resolution k grid, ordered by alpha.  Each flux is computed
+    resolution x resolution k grid, ordered by alpha.  Each flux is yielded
     as the iterator reaches it; q_max and resolution are checked at the
-    call."""
+    call.
+
+    Complex conjugation maps the flux alpha onto -alpha = 1 - alpha: the
+    Bloch blocks obey H(1 - alpha, kx, ky) = conj H(alpha, -kx, -ky), and the
+    grid 2 pi j/resolution is closed under k -> -k.  So only the fluxes
+    alpha <= 1/2 are diagonalized, and each alpha > 1/2 repeats the levels
+    and counts of 1 - alpha (the butterfly is mirror-symmetric about 1/2).
+    The levels and counts of each alpha < 1/2 are kept until 1 - alpha is
+    yielded.
+    """
     if resolution < 1:
         raise ValueError(f"need resolution >= 1, got {resolution}")
-    kx = 2.0 * np.pi * np.arange(resolution) / resolution
-    ky = 2.0 * np.pi * np.arange(resolution) / resolution
-    return (bloch_block_spectrum(a, params, kx, ky) for a in farey_alphas(q_max))
+    k = 2.0 * np.pi * np.arange(resolution) / resolution
+    return _mirrored_scan(farey_alphas(q_max), params, k)
+
+
+def _mirrored_scan(alphas: list[Fraction], params: ModelParams,
+                   k: np.ndarray) -> Iterator[SpectrumResult]:
+    pending = {}  # 1 - alpha -> (levels, counts) of a solved alpha < 1/2
+    for a in alphas:
+        if a in pending:
+            levels, counts = pending.pop(a)
+            yield SpectrumResult(p=a.numerator, q=a.denominator,
+                                 levels=levels, counts=counts)
+            continue
+        r = bloch_block_spectrum(a, params, k, k)
+        if 2 * a < 1:
+            pending[1 - a] = r.levels, r.counts
+        yield r

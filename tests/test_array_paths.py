@@ -230,7 +230,10 @@ def integer_paired_blocks(q, n):
 def assert_pooled_matches_per_k(res, p, q, params, kx, ky):
     ref = reference_bloch_block_spectrum(p, q, params, kx, ky)
     assert (res.p, res.q) == (p, q)
-    assert res.eigenvalues.shape == (2 * q * len(kx) * len(ky),)
+    # distinct ascending levels, each counted at least once
+    assert res.levels.shape == res.counts.shape
+    assert np.all(np.diff(res.levels) > 0) and np.all(res.counts >= 1)
+    assert res.counts.sum() == 2 * q * len(kx) * len(ky)
     assert np.all(np.abs(res.eigenvalues - ref)
                   <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -474,7 +477,8 @@ class TestKClasses:
         res = bloch_block_spectrum(Fraction(0, 1), params, kx, ky)
         assert_pooled_matches_per_k(res, 0, 1, params, kx, ky)
 
-    @pytest.mark.parametrize("J2,blocks", [(0.0, 2885), (0.1, 5093)])
+    # the fluxes alpha <= 1/2 only: each alpha > 1/2 reuses 1 - alpha
+    @pytest.mark.parametrize("J2,blocks", [(0.0, 1447), (0.1, 2551)])
     def test_butterfly_scan_block_count(self, built, J2, blocks):
         for _ in butterfly_scan(30, ModelParams(J=1.0, J2=J2), resolution=8):
             pass
@@ -497,6 +501,46 @@ class TestKClasses:
                 chunked = bloch_block_spectrum(Fraction(2, 7), params, k, k)
                 assert max(built) == blocks and sum(built) == total
                 assert_same_bits(chunked.eigenvalues, whole.eigenvalues)
+
+
+class TestFluxMirror:
+    """H(1 - p/q, kx, ky) = conj H(p/q, -kx, -ky), and the grid 2 pi j/n is
+    closed under k -> -k: the pooled spectra of p/q and 1 - p/q agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(flux=fluxes, params=bilayer_params, nx=st.integers(1, 9),
+           ny=st.integers(1, 9))
+    def test_mirror_flux_has_the_same_spectrum(self, flux, params, nx, ny):
+        p, q = flux
+        kx, ky = uniform_k(nx), uniform_k(ny)
+        e, mirror = (bloch_block_spectrum(a, params, kx, ky).eigenvalues
+                     for a in (Fraction(p, q), 1 - Fraction(p, q)))
+        assert np.all(np.abs(mirror - e) <= 1e-12 * np.maximum(1.0, np.abs(e)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(q_max=st.integers(2, 9), params=bilayer_params,
+           n=st.integers(1, 9))
+    def test_scan_matches_a_direct_call_at_every_flux(self, q_max, params, n):
+        k = uniform_k(n)
+        solved = []
+        compute = singleparticle.bloch_block_spectrum
+
+        def recorded(alpha, *args):
+            solved.append(alpha)
+            return compute(alpha, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(singleparticle, "bloch_block_spectrum", recorded)
+            scan = list(butterfly_scan(q_max, params, resolution=n))
+        alphas = farey_alphas(q_max)
+        assert solved == [a for a in alphas if 2 * a <= 1]
+        assert [(r.p, r.q) for r in scan] == [
+            (a.numerator, a.denominator) for a in alphas]
+        for r in scan:
+            e = bloch_block_spectrum(Fraction(r.p, r.q), params, k,
+                                     k).eigenvalues
+            assert np.all(np.abs(r.eigenvalues - e)
+                          <= 1e-12 * np.maximum(1.0, np.abs(e)))
 
 
 class TestPlaquetteFlux:

@@ -50,17 +50,18 @@ class TestButterfly:
 
     def test_writes_one_flux_at_a_time(self, tmp_path, capsys, monkeypatch):
         # before each flux is computed, count the earlier results still alive
-        alive, seen = 0, []
+        alive, seen, solved = 0, [], []
         compute = singleparticle.bloch_block_spectrum
 
         def release():
             nonlocal alive
             alive -= 1
 
-        def tracked(*args, **kwargs):
+        def tracked(alpha, *args, **kwargs):
             nonlocal alive
             seen.append(alive)
-            result = compute(*args, **kwargs)
+            solved.append(alpha)
+            result = compute(alpha, *args, **kwargs)
             alive += 1
             weakref.finalize(result, release)
             return result
@@ -70,7 +71,8 @@ class TestButterfly:
                              "--output", str(tmp_path / "b.csv")], capsys)
         assert rc == 0
         alphas = singleparticle.farey_alphas(6)
-        assert len(seen) == len(alphas)
+        # each alpha > 1/2 reuses the levels of 1 - alpha
+        assert solved == [a for a in alphas if 2 * a <= 1]
         assert max(seen) <= 1  # only the flux being written
         rows = sum(2 * a.denominator * 2 ** 2 for a in alphas)
         assert f"({rows} eigenvalues" in stdout

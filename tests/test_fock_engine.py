@@ -138,6 +138,19 @@ def reference_theta(z, tau, a, b, tol=1e-14):
                                  + 2j * n * (z + math.pi * b))))
 
 
+def reference_windowed_theta(z, tau, a, b, tol=1e-14):
+    """The window of every z summed as one (len z, window) array; also
+    returns the largest term of each window, the scale of its rounding."""
+    z = np.asarray(z, dtype=complex)
+    center = -z.imag / (math.pi * tau.imag) - a
+    width = math.sqrt(max(-math.log(tol * 1e-3), 1.0) / (math.pi * tau.imag)) + 2.0
+    n_lo = np.floor(center - width)
+    n = n_lo[..., None] + np.arange(math.ceil(2.0 * width) + 2) + a
+    terms = np.exp(1j * math.pi * tau * n * n
+                   + 2j * n * (z[..., None] + math.pi * b))
+    return terms.sum(axis=-1), np.abs(terms).max(axis=-1)
+
+
 def reference_laughlin_amplitudes(N, alpha, geom, com_a):
     """Unnormalized, unconjugated per-state amplitudes of one Laughlin state."""
     m, a, r0 = 2, float(alpha), 1.0
@@ -376,6 +389,20 @@ def test_theta_arrays_match_scalar_loop():
         ref = reference_theta(complex(zi), tau, 0.5, 0.5)
         assert abs(gi - ref) < 1e-13 * max(abs(ref), 1.0)
     assert isinstance(theta1(0.3 + 0.1j, tau), complex)
+
+
+@settings(max_examples=100, deadline=None)
+@given(re_tau=st.floats(-1.0, 1.0), im_tau=st.floats(0.2, 4.0),
+       a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_theta_matches_the_windowed_array_sum(re_tau, im_tau, a, b, seed):
+    # the program sums each window one term at a time, in O(len z) memory
+    tau = complex(re_tau, im_tau)
+    z = np.random.default_rng(seed).uniform(-10.0, 10.0, (2, 50, 2)) @ [1, 1j]
+    got = theta_with_characteristics(z, tau, a, b)
+    ref, peak = reference_windowed_theta(z, tau, a, b)
+    assert got.shape == z.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * peak)
 
 
 @pytest.mark.parametrize("Lx,Ly,alpha,N", [(4, 4, Fraction(1, 4), 2),
