@@ -40,10 +40,10 @@ def cmd_butterfly(args) -> int:
         fh.write("p,q,alpha,eigenvalue\n")
         # one flux at a time, ordered by alpha, each sorted by energy
         for r in results:
-            row = f"{r.p},{r.q},{r.alpha:.12g},{{:.12g}}\n".format
+            row = f"{r.p},{r.q},{r.alpha:.12g},%.12g\n".__mod__
             # a level repeats once per k-point of its class: format it once
-            fh.writelines(map(operator.mul, map(row, r.levels.tolist()),
-                              r.counts.tolist()))
+            fh.write("".join(map(operator.mul, map(row, r.levels.tolist()),
+                                 r.counts.tolist())))
             count += int(r.counts.sum())
             lo, hi = min(lo, r.levels[0]), max(hi, r.levels[-1])
     plot = out.with_suffix(".plot.txt")

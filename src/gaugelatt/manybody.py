@@ -243,14 +243,17 @@ def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
             np.exp(1j * np.concatenate([phase, phase])[basis.modes].sum(axis=1)))
 
 
-def _real_frame_eigenstates(H_b: sp.csr_matrix, pi: np.ndarray, s: np.ndarray,
+def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
                             count: int):
-    """The `count` lowest eigenpairs (E, W) of a sector block H_b that
-    commutes with the antiunitary w -> S conj(w), S[pi[i], i] = s[i],
-    solved as the real symmetric matrix U^dag H_b U with U U^T = S.
-    None if pi is not an involution, S is not symmetric or that matrix is
-    not real to 1e-12 ||H_b||_inf."""
-    dim = H_b.shape[0]
+    """The `count` lowest eigenpairs (E, W) of a sector block H_b, given as
+    block(R) = H_b R for sparse R, that commutes with the antiunitary
+    w -> S conj(w), S[pi[i], i] = s[i], solved as the real symmetric matrix
+    H_r = U^dag H_b U with U U^T = S.  H_r is built as U^dag block(U), so
+    the caller need not hold H_b: at most two block-sized matrices are alive
+    at once.
+    None if pi is not an involution, S is not symmetric or H_r is not real
+    to 1e-12 ||H_b||_inf."""
+    dim = pi.size
     idx = np.arange(dim)
     if not (np.array_equal(pi[pi], idx)
             and np.allclose(s[pi], s, rtol=0, atol=1e-12)):
@@ -263,8 +266,10 @@ def _real_frame_eigenstates(H_b: sp.csr_matrix, pi: np.ndarray, s: np.ndarray,
     val = np.concatenate([root[f], c, c, 1j * c, -1j * c])
     row, col = np.concatenate([f, p, q, p, q]), np.concatenate([f, p, p, q, q])
     U = sp.csr_matrix((val, (row, col)), shape=(dim, dim))
-    H_r = sp.csr_matrix((val.conj(), (col, row)), shape=(dim, dim)) @ H_b @ U
-    if np.abs(H_r.data.imag).max(initial=0.0) > 1e-12 * spla.norm(H_b, ord=np.inf):
+    H_r = sp.csr_matrix((val.conj(), (col, row)), shape=(dim, dim)) @ block(U)
+    # ||U||_inf = ||U^dag||_inf = sqrt(2), so ||H_b||_inf >= ||H_r||_inf / 2
+    if (np.abs(H_r.data.imag).max(initial=0.0)
+            > 0.5e-12 * spla.norm(H_r, ord=np.inf)):
         return None
     H_r = H_r.real  # drop the complex copy before the solve
     E, W_r = lowest_eigenstates(H_r, count)
@@ -377,15 +382,22 @@ def sector_eigenstates(
         E, W = np.zeros(0), np.zeros((P.shape[1], 0))
         if P.shape[1]:
             kept = np.flatnonzero(ok[n])
-            H_b = (sp.diags(np.sqrt(length[kept])) @ H[reps[kept]] @ P).tocsr()
+
+            def block(right):
+                # H_b right = diag(sqrt L) H[reps] P right; no H_b is kept
+                return (sp.diags(np.sqrt(length[kept])) @ H[reps[kept]]
+                        @ (P @ right)).tocsr()
+
             solved = None
             x = mirror[kept]
             if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
                 s_x = np.exp(2j * np.pi * (kx * a_of[x] / order
                                            + ky * c_of[x] / order_y)) / ph_of[x]
-                solved = _real_frame_eigenstates(H_b, column[orbit[x]], s_x,
+                solved = _real_frame_eigenstates(block, column[orbit[x]], s_x,
                                                  min(count, P.shape[1]))
-            E, W = solved or lowest_eigenstates(H_b, min(count, P.shape[1]))
+            E, W = solved or lowest_eigenstates(
+                block(sp.identity(P.shape[1], format="csr")),
+                min(count, P.shape[1]))
         blocks.append((P, W))
         for j in range(m):
             E_all.append(E)

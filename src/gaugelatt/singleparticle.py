@@ -245,44 +245,67 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     The block spectrum depends on kx and ky only through q kx and q ky mod
     2 pi, up to sign: kx -> kx + 2 pi/q relabels the cell rows m cyclically,
     (kx, ky) -> (-kx, -ky) reflects m -> -m and ky -> -ky conjugates the
-    block.  So one block per class of kx and of ky is diagonalized
-    (`_k_classes`), in chunks of at most BLOCK_BYTES, and its eigenvalues
-    count once per k-point of the class.
+    block.  So the levels of one block per class of kx and of ky
+    (`_k_classes`) count once per k-point of the class.
+
+    Harper's equation is self-dual (Aubry and Andre): the discrete Fourier
+    transform F_nm = e^{2 pi i p n m/q}/sqrt(q) turns the a-diagonal
+    -2J cos(kx + 2 pi alpha m) into the conjugate of the Harper ring with
+    phase e^{i kx} per bond, and the b-ring with phase e^{i ky} into the
+    diagonal -2J cos(ky + 2 pi alpha m) (the J2 terms likewise); the
+    coupling omega times the identity stays as it is.  With W
+    = F on both species followed by the a <-> b swap, W H(kx, ky) W^dag =
+    conj H(ky, kx), so the class pairs (cx, cy) and (cy, cx) have the same
+    levels when both axes share one grid.
 
     With J2 = 0 the bilayer is bipartite: a_m and b_m sit on opposite
     sublattices of the graph, and S = diag((-1)^m on the a rows, -(-1)^m on
     the b rows) gives S H(kx, ky) S = -D^dag H(kx + pi, ky + pi (q mod 2)/q) D,
     with the row gauge D = diag(e^{i pi m (q mod 2)/q}) on both species.  So
-    the levels at k + (pi, pi (q mod 2)/q) are minus those at k: a class and
-    its partner, whose keys differ by q/2 on both axes, share one block, whose
-    levels E count for the first and -E for the second.  A class that is its
-    own partner (every class at even q, the centre class at odd q) or whose
-    partner is not on the grid is diagonalized as it is.  J2 bonds join a
-    sublattice to itself, so with J2 > 0 no class is paired.
+    the levels at k + (pi, pi (q mod 2)/q) are minus those at k: a class pair
+    and its image, whose keys differ by q/2 on both axes (`_k_classes`
+    partners), have opposite levels.  J2 bonds join a sublattice to itself,
+    so with J2 > 0 no pair has an image.
+
+    Each orbit of class pairs under the transpose and the image takes its
+    levels E from the block of its first pair: E for that pair and its
+    transpose, -E for their images.  The blocks are diagonalized in chunks
+    of at most BLOCK_BYTES.
     """
     alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     grids = [np.atleast_1d(np.asarray(g, dtype=float))
              for g in (kx_grid, ky_grid)]
-    (rx, nx, px), (ry, ny, py) = (_k_classes(g, q) for g in grids)
+    same = np.array_equal(grids[0], grids[1])
+    rx, nx, px = _k_classes(grids[0], q)
+    ry, ny, py = (rx, nx, px) if same else _k_classes(grids[1], q)
     cx, cy = (c.ravel() for c in np.meshgrid(np.arange(rx.size),
                                              np.arange(ry.size),
                                              indexing="ij"))
-    weight = nx[cx] * ny[cy]
-    paired = (px[cx] >= 0) & (py[cy] >= 0) & (params.J2 == 0)
-    partner = np.where(paired, px[cx] * ry.size + py[cy], -1)
-    own = np.arange(cx.size)
-    solve = (partner < 0) | (partner >= own)  # skip the second of a pair
+    # the orbit of each pair as keys 2 * pair + flip, flip = 1 for -E: the
+    # pair and its transpose, and their images (past the last pair if none)
+    keys = []
+    for a, b in [(cx, cy)] + ([(cy, cx)] if same else []):
+        keys.append(2 * (a * ry.size + b))
+        if params.J2 == 0:
+            paired = (px[a] >= 0) & (py[b] >= 0)
+            keys.append(2 * np.where(paired, px[a] * ry.size + py[b],
+                                     cx.size) + 1)
+    source, flip = np.divmod(np.min(keys, axis=0), 2)
+    solve = source == np.arange(cx.size)
     kx, ky = grids[0][rx][cx[solve]], grids[1][ry][cy[solve]]
     step = max(1, BLOCK_BYTES // (16 * (2 * q) ** 2))
     evals = np.concatenate([
         np.linalg.eigvalsh(bloch_block(p, q, params, kx[i:i + step],
                                        ky[i:i + step]))
         for i in range(0, max(kx.size, 1), step)]).reshape(-1, 2 * q)
-    mirror = partner[solve] > own[solve]
+    # the k-points that take E (column 0) and -E (column 1) of each block
+    weight = np.zeros((evals.shape[0], 2), dtype=np.int64)
+    np.add.at(weight, ((np.cumsum(solve) - 1)[source], flip), nx[cx] * ny[cy])
+    mirror = weight[:, 1] > 0
     levels = np.concatenate([evals, -evals[mirror]]).ravel()
-    weights = np.repeat(np.concatenate([weight[solve],
-                                        weight[partner[solve][mirror]]]), 2 * q)
+    weights = np.repeat(np.concatenate([weight[:, 0], weight[mirror, 1]]),
+                        2 * q)
     order = np.argsort(levels)
     levels, weights = levels[order], weights[order]
     first = np.flatnonzero(np.append(True, levels[1:] != levels[:-1]))

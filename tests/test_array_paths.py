@@ -206,25 +206,34 @@ def uniform_k(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def integer_keys(q, n):
+    """The class keys min(qj mod n, n - qj mod n) of the grid 2 pi j/n, j < n,
+    under k -> k + 2 pi/q and k -> -k."""
+    return {min(q * j % n, n - q * j % n) for j in range(n)}
+
+
 def integer_k_classes(q, n):
-    """The number of classes of the grid 2 pi j/n, j < n, under k -> k + 2 pi/q
-    and k -> -k, from the integer key min(qj mod n, n - qj mod n)."""
-    return len({min(q * j % n, n - q * j % n) for j in range(n)})
+    """The number of classes of the grid 2 pi j/n on one axis."""
+    return len(integer_keys(q, n))
 
 
-def integer_paired_blocks(q, n):
-    """The number of blocks diagonalized on the n x n grid 2 pi j/n at J2 = 0.
-    A class (a, b) of integer keys pairs with (|s - a|, |s - b|), s = n (q mod
-    2)/2 the key shift of k -> k + (pi, pi (q mod 2)/q); a pair takes one
-    block, and so does a class that is its own partner or has none."""
-    keys = {min(q * j % n, n - q * j % n) for j in range(n)}
-    blocks = 0.0
+def integer_orbit_blocks(q, n, sublattice):
+    """The number of blocks diagonalized on the n x n grid 2 pi j/n: the
+    orbits of the class pairs (a, b) of integer keys under the transpose
+    (a, b) -> (b, a) and, if `sublattice` (J2 = 0), the image (|s - a|,
+    |s - b|), s = n (q mod 2)/2 the key shift of k -> k + (pi, pi (q mod
+    2)/q), where the image is on the grid."""
+    keys = integer_keys(q, n)
+    shift = n * (q % 2) / 2
+    orbits = set()
     for a in keys:
         for b in keys:
-            image = (abs(n * (q % 2) / 2 - a), abs(n * (q % 2) / 2 - b))
-            paired = image != (a, b) and set(image) <= keys
-            blocks += 0.5 if paired else 1.0
-    return blocks
+            orbit = {(a, b), (b, a)}
+            image = (abs(shift - a), abs(shift - b))
+            if sublattice and set(image) <= keys:
+                orbit |= {image, image[::-1]}
+            orbits.add(frozenset(orbit))
+    return len(orbits)
 
 
 def assert_pooled_matches_per_k(res, p, q, params, kx, ky):
@@ -341,6 +350,26 @@ class TestBlochBlocks:
         assert_same_bits(block, reference_bloch_block(2, 5, params, 0.3, -1.1))
 
 
+class TestDuality:
+    """Harper's self-duality: with F_nm = e^{2 pi i p n m/q}/sqrt(q) on both
+    species and W = F followed by the a <-> b swap, W H(kx, ky) W^dag =
+    conj H(ky, kx)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(flux=fluxes, params=bilayer_params,
+           kx=st.floats(0.0, 2 * np.pi, exclude_max=True),
+           ky=st.floats(0.0, 2 * np.pi, exclude_max=True))
+    def test_fourier_swap_transposes_k(self, flux, params, kx, ky):
+        p, q = flux
+        m = np.arange(q)
+        F = np.exp(2j * np.pi * p * np.outer(m, m) / q) / np.sqrt(q)
+        zero = np.zeros((q, q))
+        W = np.block([[zero, F], [F, zero]])
+        dual = W @ bloch_block(p, q, params, kx, ky) @ W.conj().T
+        assert np.abs(dual - bloch_block(p, q, params, ky, kx).conj()).max() \
+            <= 1e-12
+
+
 class TestKClasses:
     """bloch_block_spectrum diagonalizes one block per class of k-points
     related by k -> k + 2 pi/q and k -> -k on each axis; the pooled levels
@@ -442,11 +471,25 @@ class TestKClasses:
                 built.clear()
                 bloch_block_spectrum(Fraction(1, q), params, uniform_k(n),
                                      uniform_k(n))
-                assert sum(built) == integer_k_classes(q, n) ** 2
+                assert sum(built) == integer_orbit_blocks(q, n, False)
             built.clear()
             geom = LatticeGeometry(6, 2 * q, boundary=Boundary.MAGNETIC_TORUS)
             commensurate_bloch_spectrum(Fraction(1, q), params, geom)
             assert sum(built) == integer_k_classes(q, 6) * 2
+
+    def test_unequal_grids_are_not_transposed(self, built):
+        # the commensurate grids differ on the two axes: one block per pair
+        # of an x class and a y class, as before the transpose was used
+        params = ModelParams(J=1.0, omega=2.0, J2=0.3)
+        for q in range(1, 13):
+            for p in range(q + 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                built.clear()
+                geom = LatticeGeometry(6, 2 * q,
+                                       boundary=Boundary.MAGNETIC_TORUS)
+                commensurate_bloch_spectrum(Fraction(p, q), params, geom)
+                assert sum(built) == integer_k_classes(q, 6) * 2
 
     def test_one_block_per_pair_of_integer_classes(self, built):
         params = ModelParams(J=1.0, omega=2.0)
@@ -455,7 +498,7 @@ class TestKClasses:
                 built.clear()
                 bloch_block_spectrum(Fraction(1, q), params, uniform_k(n),
                                      uniform_k(n))
-                assert sum(built) == integer_paired_blocks(q, n)
+                assert sum(built) == integer_orbit_blocks(q, n, True)
 
     def test_float_images_pair_and_near_images_do_not(self, built):
         params = ModelParams(J=1.0, omega=0.8)
@@ -478,17 +521,18 @@ class TestKClasses:
         assert_pooled_matches_per_k(res, 0, 1, params, kx, ky)
 
     # the fluxes alpha <= 1/2 only: each alpha > 1/2 reuses 1 - alpha
-    @pytest.mark.parametrize("J2,blocks", [(0.0, 1447), (0.1, 2551)])
+    @pytest.mark.parametrize("J2,blocks", [(0.0, 1003), (0.1, 1555)])
     def test_butterfly_scan_block_count(self, built, J2, blocks):
         for _ in butterfly_scan(30, ModelParams(J=1.0, J2=J2), resolution=8):
             pass
         assert sum(built) == blocks
 
     def test_chunks_give_the_same_bits(self, built, monkeypatch):
-        # J2 > 0 diagonalizes all 49 classes; J2 = 0 pairs them into 25 blocks
+        # J2 > 0 diagonalizes the 28 transpose pairs of the 7 x 7 classes;
+        # J2 = 0 also pairs them by the sublattice image into 16 blocks
         k = uniform_k(12)
         full = singleparticle.BLOCK_BYTES
-        for J2, total in ((0.2, 7 ** 2), (0.0, integer_paired_blocks(7, 12))):
+        for J2, total in ((0.2, 28), (0.0, 16)):
             params = ModelParams(J=1.0, omega=1.5, J2=J2)
             monkeypatch.setattr(singleparticle, "BLOCK_BYTES", full)
             built.clear()

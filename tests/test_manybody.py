@@ -346,7 +346,7 @@ class TestSectorEigenstates:
         B = B + B.conj().T
         H_b = (B + S @ B.conj() @ S.conj().T).tocsr()
         count = min(3, dim)
-        E, W = _real_frame_eigenstates(H_b, pi, s, count)
+        E, W = _real_frame_eigenstates(H_b.__matmul__, pi, s, count)
         scale = max(spla.norm(H_b, ord=np.inf), 1.0)
         np.testing.assert_allclose(E, np.linalg.eigvalsh(H_b.toarray())[:count],
                                    rtol=0, atol=1e-9 * scale)
@@ -360,10 +360,12 @@ class TestSectorEigenstates:
         eye = sp.identity(2, dtype=complex, format="csr")
         H_b = sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]]))
         fixed, swap, ones = np.arange(2), np.array([1, 0]), np.ones(2)
-        assert _real_frame_eigenstates(eye, np.array([1, 1]), ones, 1) is None
-        assert _real_frame_eigenstates(eye, swap, np.array([1, 1j]), 1) is None
-        assert _real_frame_eigenstates(H_b, fixed, ones, 1) is None
-        E, _ = _real_frame_eigenstates(H_b.real.tocsr(), fixed, ones, 1)
+        block = eye.__matmul__
+        assert _real_frame_eigenstates(block, np.array([1, 1]), ones, 1) is None
+        assert _real_frame_eigenstates(block, swap, np.array([1, 1j]), 1) is None
+        assert _real_frame_eigenstates(H_b.__matmul__, fixed, ones, 1) is None
+        E, _ = _real_frame_eigenstates(H_b.real.tocsr().__matmul__, fixed,
+                                       ones, 1)
         assert E == pytest.approx([1.0])
 
     # random couplings are far from the Laughlin regime, where the overlap
