@@ -64,9 +64,11 @@ def cmd_ground(args) -> int:
     params = singleparticle.ModelParams(J=args.j, omega=args.omega,
                                         U=args.u, J2=args.j2)
     basis = manybody.build_fock_basis(2 * geom.n_sites, args.n)
-    H = manybody.build_manybody_hamiltonian(geom, links, params, basis)
-    E, V, sectors = manybody.sector_eigenstates(H, basis, geom, alpha,
-                                                args.count)
+    # H is built on the orbit representatives only, never on the full space
+    E, V, sectors = manybody.sector_eigenstates(
+        lambda idx: manybody.build_manybody_hamiltonian(geom, links, params,
+                                                        basis, columns=idx),
+        basis, geom, alpha, args.count)
 
     # alpha and alpha + 1 give the same links: the filling and the Laughlin
     # states belong to the flux reduced to (-1/2, 1/2]

@@ -106,15 +106,19 @@ def build_fock_basis(M: int, N: int) -> FockBasis:
     return FockBasis(M=M, N=N, modes=modes)
 
 
-def second_quantize(one_body: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
-    """Lift a one-body mode matrix to the N-boson Fock space.
+def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
+                    sources=None) -> sp.csr_matrix:
+    """Lift a one-body mode matrix to the N-boson Fock space, on the
+    columns of the basis states `sources` (an index array; all states by
+    default): the (basis.size, len(sources)) matrix H[:, sources].
 
     Matrix elements pick up the bosonic factors sqrt(n_src (n_dst + 1)).
     """
     ob = sp.csc_matrix(one_body)
     if ob.shape != (basis.M, basis.M):
         raise ValueError("one-body matrix dimension does not match mode count")
-    modes, N = basis.modes, basis.N
+    sources = np.arange(basis.size) if sources is None else np.asarray(sources)
+    modes, N, n = basis.modes[sources], basis.N, sources.size
     col_of = np.repeat(np.arange(basis.M), np.diff(ob.indptr))
     on_diag = ob.indices == col_of
     t_diag = np.zeros(basis.M, dtype=ob.dtype)
@@ -127,13 +131,13 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
     off_row = ob.indices[~on_diag].astype(np.int32)
     off_val = ob.data[~on_diag]
 
-    diag = np.zeros(basis.size, dtype=complex)
+    diag = np.zeros(n, dtype=complex)
     rows_out, cols_out, vals_out = [], [], []
     for p in range(N):
         m = modes[:, p]
         diag += t_diag[m]
         # hop each occupied mode once: from the first slot of its run
-        first = (m != modes[:, p - 1]) if p else np.ones(basis.size, dtype=bool)
+        first = (m != modes[:, p - 1]) if p else np.ones(n, dtype=bool)
         n_m = np.sum(modes == m[:, None], axis=1)
         src = np.flatnonzero(first).astype(np.int32)
         cnt = np.diff(off_ptr)[m[src]]
@@ -149,35 +153,41 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
         cols_out.append(src)
         vals_out.append(amp)
     occupied_diag = np.flatnonzero(has_diag[modes].any(axis=1))
-    rows_out.append(occupied_diag)
+    rows_out.append(sources[occupied_diag])
     cols_out.append(occupied_diag)
     vals_out.append(diag[occupied_diag])
     H = sp.coo_matrix((np.concatenate(vals_out),
                        (np.concatenate(rows_out), np.concatenate(cols_out))),
-                      shape=(basis.size, basis.size), dtype=complex)
+                      shape=(basis.size, n), dtype=complex)
     return H.tocsr()
 
 
 def build_manybody_hamiltonian(
     geom: LatticeGeometry, links: LinkField, params: ModelParams,
-    basis: FockBasis,
+    basis: FockBasis, columns=None,
 ) -> sp.csr_matrix:
     """Interacting bilayer Hamiltonian: hopping + Raman coupling plus the
-    on-site interaction U [n_a(n_a-1) + n_b(n_b-1) + n_a n_b]."""
+    on-site interaction U [n_a(n_a-1) + n_b(n_b-1) + n_a n_b], on the
+    columns of the basis states `columns` (an index array; all states by
+    default): the (basis.size, len(columns)) matrix H[:, columns], with
+    the interaction of state columns[i] at (columns[i], i)."""
     ns = geom.n_sites
     if basis.M != 2 * ns:
         raise ValueError("basis mode count must equal 2*Lx*Ly")
     H_sp = build_bilayer_hamiltonian(geom, links, params)
-    H = second_quantize(H_sp, basis)
+    columns = np.arange(basis.size) if columns is None else np.asarray(columns)
+    H = second_quantize(H_sp, basis, columns)
     if params.U != 0.0:
         # sum_m n_m(n_m-1) = 2 #{p<q: m_p = m_q}; sum_x n_a n_b = #{m_q = m_p + ns}
-        modes = basis.modes
-        val = np.zeros(basis.size)  # float, so an integer U gives a float diagonal
+        modes = basis.modes[columns]
+        val = np.zeros(columns.size)  # float, so an integer U gives a float diagonal
         for p in range(basis.N):
             for q in range(p + 1, basis.N):
                 val += 2 * (modes[:, q] == modes[:, p])
                 val += modes[:, q] == modes[:, p] + ns
-        H = H + sp.diags(params.U * val)
+        H = H + sp.csr_matrix((params.U * val,
+                               (columns, np.arange(columns.size))),
+                              shape=H.shape)
     return H.tocsr()
 
 
@@ -189,9 +199,11 @@ def _check_dense(rows: int, cols: int, what: str):
                          f"{DENSE_BYTES / 2 ** 30:g} GiB limit (lower the count)")
 
 
-def _check_residual(H: sp.csr_matrix, E: np.ndarray, V: np.ndarray):
-    tol = 1e-9 * max(spla.norm(H, ord=np.inf), 1.0)
-    resid = np.max(np.linalg.norm(H @ V - V * E, axis=0))
+def _check_residual(R: np.ndarray, norm: float):
+    """Fail unless every column of the residual R = H V - V E has norm at
+    most 1e-9 * max(norm, 1), with norm = ||H||_inf."""
+    tol = 1e-9 * max(norm, 1.0)
+    resid = np.max(np.linalg.norm(R, axis=0))
     if resid > tol:
         raise RuntimeError(
             f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
@@ -229,7 +241,7 @@ def lowest_eigenstates(H: sp.csr_matrix,
                                   v0=v0 if np.iscomplexobj(H) else v0.real)
     order = np.argsort(evals)[:count]
     E, V = evals[order], evecs[:, order]
-    _check_residual(H, E, V)
+    _check_residual(H @ V - V * E, spla.norm(H, ord=np.inf))
     # Arnoldi returns the members of a degenerate multiplet normalized but
     # not orthogonal (overlap 4e-3 on the 8x8 ground doublet)
     return E, np.linalg.qr(V)[0]
@@ -277,11 +289,14 @@ def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
 
 
 def sector_eigenstates(
-    H: sp.csr_matrix, basis: FockBasis, geom: LatticeGeometry,
+    columns, basis: FockBasis, geom: LatticeGeometry,
     alpha: Fraction, count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The `count` lowest eigenpairs of a torus Hamiltonian H on `basis`,
     solved one magnetic-translation sector at a time, as (E, V, sectors).
+    H is given by its columns: columns(idx) = H[:, idx], a sparse matrix
+    of shape (basis.size, len(idx)).  It is called once, on the smallest
+    state of each translation orbit; the full H is never formed.
 
     T_x, the many-body x translation by the smallest step s with
     s*alpha*Ly integer, has order = Lx / gcd(Lx, s).  T_y, the y
@@ -292,7 +307,8 @@ def sector_eigenstates(
     gcd(shift, order), commutes with T_x and has order order_y, so a sector
     (kx, ky) holds the vectors with T_x v = exp(2 pi i kx / order) v and
     Y v = exp(2 pi i ky / order_y) v.  One sector per orbit of kx -> kx +
-    shift is diagonalized for every ky; the others are its T_y images.
+    shift is diagonalized for every ky; the others are its T_y images, so
+    each block solves only ceil(count / m) levels.
 
     The mirror M: (j, k) -> (-j mod Lx, k) of both species conjugates the
     Landau-gauge H, so Theta = K M (K complex conjugation) commutes with
@@ -308,7 +324,11 @@ def sector_eigenstates(
     E is ascending, ties in (kx, ky) order; V is (dim, count) with
     orthonormal columns, at most DENSE_BYTES; sectors[i] = (kx, ky) of
     column i.  Each pair has residual at most 1e-9 * max(||H||_inf, 1) in
-    the full space.
+    the full space.  That is checked on the block: P (below) is an isometry
+    onto an H-invariant subspace and the real frame U is unitary, so the
+    block residual is the full-space one.  ||H||_inf is read exactly from
+    the representative columns: every translation permutes basis states
+    with unit phases, so a column's absolute sum is constant on its orbit.
     """
     dim = basis.size
     if not 1 <= count <= dim:
@@ -368,6 +388,12 @@ def sector_eigenstates(
     mx = np.concatenate([mx, mx + geom.n_sites])
     mirror = basis.index(np.sort(mx[basis.modes[reps]], axis=1))
 
+    # H[reps] = H[:, reps]^dag, as H is Hermitian; its largest absolute
+    # row sum is ||H||_inf
+    H_reps = columns(reps).conj().T.tocsr()
+    norm = spla.norm(H_reps, ord=np.inf)
+    levels = -(-count // m)  # each block's levels come back m times
+
     # P maps orbit r to the sector vector conj(chi(g)) g|r> / sqrt(L), and
     # since H commutes with the group, P^dag H P = diag(sqrt L) H[reps] P
     blocks, E_all, label_all, src = [], [], [], []
@@ -381,23 +407,25 @@ def sector_eigenstates(
              (rows, column[orbit[rows]])), shape=(dim, int(ok[n].sum())))
         E, W = np.zeros(0), np.zeros((P.shape[1], 0))
         if P.shape[1]:
-            kept = np.flatnonzero(ok[n])
+            kept, k = np.flatnonzero(ok[n]), min(levels, P.shape[1])
+            scale = sp.csr_matrix((np.sqrt(length[kept]),
+                                   (np.arange(kept.size), kept)),
+                                  shape=(kept.size, reps.size))
 
             def block(right):
-                # H_b right = diag(sqrt L) H[reps] P right; no H_b is kept
-                return (sp.diags(np.sqrt(length[kept])) @ H[reps[kept]]
-                        @ (P @ right)).tocsr()
+                # H_b right = diag(sqrt L) H[reps[kept]] P right, the rows
+                # picked last; no H_b is kept
+                return scale @ (H_reps @ (P @ right))
 
             solved = None
             x = mirror[kept]
             if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
                 s_x = np.exp(2j * np.pi * (kx * a_of[x] / order
                                            + ky * c_of[x] / order_y)) / ph_of[x]
-                solved = _real_frame_eigenstates(block, column[orbit[x]], s_x,
-                                                 min(count, P.shape[1]))
+                solved = _real_frame_eigenstates(block, column[orbit[x]], s_x, k)
             E, W = solved or lowest_eigenstates(
-                block(sp.identity(P.shape[1], format="csr")),
-                min(count, P.shape[1]))
+                block(sp.identity(P.shape[1], format="csr")), k)
+            _check_residual(block(W) - W * E, norm)
         blocks.append((P, W))
         for j in range(m):
             E_all.append(E)
@@ -418,9 +446,7 @@ def sector_eigenstates(
             here = src[mine, 1] == j
             V[:, mine[here]] = X[:, col[here]]
             X[ty] = ty_phase[:, None] * X
-    E = E_all[pick]
-    _check_residual(H, E, V)
-    return E, V, label_all[pick]
+    return E_all[pick], V, label_all[pick]
 
 
 def _label_permutations(N: int) -> np.ndarray:

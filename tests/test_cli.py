@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import gaugelatt
 from gaugelatt import beamsynth, lattice, manybody, singleparticle
@@ -142,6 +144,37 @@ class TestGround:
         assert report["laughlin_overlap"] is not None
         assert all(o > 0.9 for o in report["laughlin_overlap"])
         assert "laughlin overlaps" in stdout
+
+    def test_hamiltonian_is_lifted_on_the_orbit_representatives(
+            self, tmp_path, capsys, monkeypatch):
+        # 4x4, alpha = 1/4, N = 2: the sectors are those of T_x and of
+        # Y = T_y^2, which split the 528 states into orbits
+        geom = LatticeGeometry(4, 4, boundary=Boundary.MAGNETIC_TORUS)
+        alpha = Fraction(1, 4)
+        basis = manybody.build_fock_basis(2 * geom.n_sites, 2)
+        tx = lattice.magnetic_translation_x(geom, alpha, 1)
+        y, _ = lattice.magnetic_translation_y(geom, alpha, 2)
+        images = [basis.permute(np.concatenate([perm, perm + geom.n_sites]))
+                  for perm in (tx, y)]
+        graph = sp.csr_matrix((np.ones(2 * basis.size),
+                               (np.tile(np.arange(basis.size), 2),
+                                np.concatenate(images))),
+                              shape=(basis.size, basis.size))
+        n_orbits = connected_components(graph)[0]
+        build, lifted = manybody.build_manybody_hamiltonian, []
+
+        def guarded(geom, links, params, basis, columns=None):
+            if columns is None or len(columns) > n_orbits:
+                raise AssertionError("H lifted beyond the representatives")
+            lifted.append(len(columns))
+            return build(geom, links, params, basis, columns=columns)
+
+        monkeypatch.setattr(manybody, "build_manybody_hamiltonian", guarded)
+        out = tmp_path / "g.json"
+        rc, _, _ = run(["ground", "--lx", "4", "--ly", "4", "--n", "2",
+                        "--alpha", "1/4", "--output", str(out)], capsys)
+        assert rc == 0
+        assert lifted == [n_orbits] and n_orbits < basis.size / 4
 
     def test_degenerate_partner_reported(self, tmp_path, capsys):
         # nu = 1/2 on 4x8: the ground doublet is exact, and --count 2 must

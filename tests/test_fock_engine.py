@@ -15,6 +15,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +260,21 @@ def test_second_quantize_matches_loop(one_body, N):
     M = one_body.shape[0]
     new = second_quantize(one_body, build_fock_basis(M, N))
     assert_same_csr(new, reference_second_quantize(one_body, M, N), N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_body=sparse_hermitian(), N=st.integers(1, 4), data=st.data())
+def test_second_quantize_lifts_any_columns(one_body, N, data):
+    basis = build_fock_basis(one_body.shape[0], N)
+    full = second_quantize(one_body, basis)
+    idx = np.array(sorted(data.draw(st.sets(
+        st.integers(0, basis.size - 1), max_size=basis.size))), dtype=int)
+    got = second_quantize(one_body, basis, idx)
+    assert got.shape == (basis.size, idx.size)
+    assert_same_csr(got, full[:, idx], N=1)  # bit-identical
+    # H is Hermitian: its largest absolute column sum is ||H||_inf
+    assert (abs(full).sum(axis=0).max()
+            == pytest.approx(spla.norm(full, ord=np.inf), rel=1e-15))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -268,6 +269,38 @@ def torus_hamiltonian(geom, alpha, N, params):
     return basis, build_manybody_hamiltonian(geom, links, params, basis)
 
 
+def columns_of(H):
+    """The columns function of `sector_eigenstates` for a built H."""
+    return lambda idx: H[:, idx]
+
+
+class TestColumnLift:
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_tori(coupling=st.floats(0.0, 12.0)),
+           interacting=st.booleans(), data=st.data())
+    def test_columns_match_the_full_build(self, case, interacting, data):
+        geom, alpha, N, params = case
+        if not interacting:
+            params = ModelParams(J=params.J, omega=params.omega, U=0.0,
+                                 J2=params.J2)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        basis = build_fock_basis(2 * geom.n_sites, N)
+        H = build_manybody_hamiltonian(geom, links, params, basis)
+        idx = np.array(sorted(data.draw(st.sets(
+            st.integers(0, basis.size - 1), max_size=basis.size))), dtype=int)
+        got = build_manybody_hamiltonian(geom, links, params, basis,
+                                         columns=idx)
+        assert got.shape == (basis.size, idx.size)
+        ref = H[:, idx]
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(got.data, ref.data)
+        # H is Hermitian: its largest absolute column sum is ||H||_inf
+        assert (abs(H).sum(axis=0).max()
+                == pytest.approx(spla.norm(H, ord=np.inf), rel=1e-15))
+
+
 class TestSectorEigenstates:
     @settings(max_examples=30, deadline=None)
     @given(case=small_tori(coupling=st.floats(0.0, 12.0)))
@@ -322,7 +355,7 @@ class TestSectorEigenstates:
             return lowest_eigenstates(H_b, count)
 
         monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
-        E, _, _ = sector_eigenstates(H, basis, *case[:2], 4)
+        E, _, _ = sector_eigenstates(columns_of(H), basis, *case[:2], 4)
         assert "".join(seen) == kinds
         scale = max(spla.norm(H, ord=np.inf), 1.0)
         np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:4],
@@ -392,11 +425,24 @@ class TestSectorEigenstates:
         count = min(count, dim)
         while count < dim and w[count] - w[count - 1] < gap:
             count += 1
-        E, V, sectors = sector_eigenstates(H, basis, geom, alpha, count)
+        lifted = []
+
+        def columns(idx):
+            lifted.append(idx)
+            return H[:, idx]
+
+        E, V, sectors = sector_eigenstates(columns, basis, geom, alpha, count)
         E_ref, V_ref = w[:count], U[:, :count]
         np.testing.assert_allclose(E, E_ref, rtol=0, atol=1e-9 * scale)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(count), rtol=0,
                                    atol=1e-12)
+        # the block residual bound holds in the full space
+        assert np.linalg.norm(H @ V - V * E, axis=0).max() <= 1e-9 * scale
+        # H is lifted once, and the absolute column sums of the lifted
+        # states read ||H||_inf
+        assert len(lifted) == 1
+        assert (abs(H[:, lifted[0]]).sum(axis=0).max()
+                == pytest.approx(spla.norm(H, ord=np.inf), rel=1e-15))
 
         # column i is an eigenvector of T_x and of Y = T_y^m with the
         # eigenvalues its label (kx, ky) names
@@ -405,6 +451,8 @@ class TestSectorEigenstates:
                               np.zeros(geom.n_sites))
         Y = fock_translation(basis, geom,
                              *magnetic_translation_y(geom, alpha, b * m))
+        # one lifted state per orbit of T_x and Y
+        assert lifted[0].size == connected_components(abs(Tx) + abs(Y))[0]
         kx, ky = sectors.T
         np.testing.assert_allclose(Tx @ V, V * np.exp(2j * np.pi * kx / order),
                                    rtol=0, atol=1e-12)
@@ -437,7 +485,7 @@ class TestSectorEigenstates:
         # level is at least 4-fold, the ARPACK block solve returns it 3 times
         case = (torus(2, 2), Fraction(1, 4), 3, ModelParams(U=0.0))
         basis, H = torus_hamiltonian(*case)
-        E, _, _ = sector_eigenstates(H, basis, *case[:2], 4)
+        E, _, _ = sector_eigenstates(columns_of(H), basis, *case[:2], 4)
         np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:4],
                                    rtol=0, atol=1e-9)
 
@@ -455,7 +503,7 @@ class TestSectorEigenstates:
             return lowest_eigenstates(H_b, count)
 
         monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
-        E, _, sectors = sector_eigenstates(H, basis, *case[:2], 3)
+        E, _, sectors = sector_eigenstates(columns_of(H), basis, *case[:2], 3)
         assert len(dims) == 3
         assert sum(dims) == pytest.approx(basis.size / 2, rel=0.01)
         assert E[1] - E[0] < 1e-9 and E[2] - E[1] > 1e-3
@@ -471,7 +519,7 @@ class TestSectorEigenstates:
 
         monkeypatch.setattr(manybody, "magnetic_translation_x", no_translation)
         with pytest.raises(ValueError, match=r"need 1 <= count <= 528 \(the "):
-            sector_eigenstates(H, basis, *case[:2], count)
+            sector_eigenstates(columns_of(H), basis, *case[:2], count)
 
 
 class TestMotionalDensityMatrix:
