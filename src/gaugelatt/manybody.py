@@ -6,6 +6,7 @@ number)."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -251,7 +252,7 @@ def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
     """A site map with a phase per site, applied to both species, as
     (image, factor): basis state i goes to factor[i] times state image[i]."""
     ns = len(perm)
-    return (basis.permute(np.concatenate([perm, perm + ns])),
+    return (basis.permute(np.concatenate([perm, perm + ns])).astype(np.int32),
             np.exp(1j * np.concatenate([phase, phase])[basis.modes].sum(axis=1)))
 
 
@@ -323,12 +324,22 @@ def sector_eigenstates(
 
     E is ascending, ties in (kx, ky) order; V is (dim, count) with
     orthonormal columns, at most DENSE_BYTES; sectors[i] = (kx, ky) of
-    column i.  Each pair has residual at most 1e-9 * max(||H||_inf, 1) in
-    the full space.  That is checked on the block: P (below) is an isometry
-    onto an H-invariant subspace and the real frame U is unitary, so the
-    block residual is the full-space one.  ||H||_inf is read exactly from
-    the representative columns: every translation permutes basis states
-    with unit phases, so a column's absolute sum is constant on its orbit.
+    column i.  Every level comes back m times, as T_y images in m sectors;
+    if count ends inside such a multiplet, a RuntimeWarning names the
+    sectors left out.  Each pair has residual at most
+    1e-9 * max(||H||_inf, 1) in the full space.  That is checked on the
+    block: P (below) is an isometry onto an H-invariant subspace and the
+    real frame U is unitary, so the block residual is the full-space one.
+    ||H||_inf is read exactly from the representative columns: every
+    translation permutes basis states with unit phases, so a column's
+    absolute sum is constant on its orbit.
+
+    A sector's projector P, from its orbit basis to the full space, is
+    built from the orbit tables (orbit, a_of, c_of, ph_of, length) while
+    its block is solved, and again at the lift for the sectors that hold a
+    returned vector; across blocks only the block eigenvectors W are kept.
+    The full-basis images of T_x and Y live only through the orbit walk,
+    and T_y is built at the lift.
     """
     dim = basis.size
     if not 1 <= count <= dim:
@@ -342,46 +353,54 @@ def sector_eigenstates(
     m = order // n_orbits
     order_y = geom.Ly // math.gcd(geom.Ly, b * m)
 
-    tx, _ = _fock_map(basis, magnetic_translation_x(geom, alpha, s),
-                      np.zeros(geom.n_sites))
-    ty, ty_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b))
+    def character(kx, ky, a, c):
+        # the eigenvalue of T_x^a Y^c on the sector (kx, ky)
+        return np.exp(2j * np.pi * (kx * a / order + ky * c / order_y))
+
+    x_perm = magnetic_translation_x(geom, alpha, s)
+    tx = basis.permute(np.concatenate([x_perm, x_perm + geom.n_sites]))
+    tx = tx.astype(np.int32)
     y, y_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b * m))
 
-    def walk(start):
-        # T_x^a Y^c on the states `start`, for every (a, c): (a, c, image, phase)
-        img_c, ph_c = start, np.ones(start.size, dtype=complex)
+    def walk(start, ph_c=None):
+        # T_x^a Y^c on the states `start`, for every (a, c): (a, c, image,
+        # phase), the phase carried only from a given start phase ph_c
+        img_c = start
         for c in range(order_y):
             img = img_c
             for a in range(order):
                 yield a, c, img, ph_c
                 img = tx[img]
-            ph_c, img_c = ph_c * y_phase[img_c], y[img_c]
+            if ph_c is not None:
+                ph_c = ph_c * y_phase[img_c]
+            img_c = y[img_c]
 
     # orbits: rep[i] is the smallest index of state i's orbit; from each
     # representative, state i is reached first by T_x^a Y^c with phase ph
-    idx = np.arange(dim)
+    idx = np.arange(dim, dtype=np.int32)
     rep = idx
     for *_, img, _ in walk(idx):
         rep = np.minimum(rep, img)
     reps = np.flatnonzero(rep == idx)
+    orbit = np.searchsorted(reps, rep).astype(np.int32)
+    del idx, rep, img
     labels = [(kx, ky) for kx in range(n_orbits) for ky in range(order_y)]
-    a_of, c_of = np.zeros(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+    a_of, c_of = np.zeros(dim, dtype=np.int32), np.zeros(dim, dtype=np.int32)
     ph_of, seen = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=bool)
     n_fixed = np.zeros(reps.size)
     # a sector exists on an orbit iff its character matches the phase of
     # every group element that fixes the representative
     ok = np.ones((len(labels), reps.size), dtype=bool)
-    for a, c, img, ph in walk(reps):
+    for a, c, img, ph in walk(reps, np.ones(reps.size, dtype=complex)):
         new = ~seen[img]
         seen[img[new]] = True
         a_of[img[new]], c_of[img[new]], ph_of[img[new]] = a, c, ph[new]
         fixed = img == reps
         n_fixed += fixed
         for n, (kx, ky) in enumerate(labels):
-            chi = np.exp(2j * np.pi * (kx * a / order + ky * c / order_y))
-            ok[n] &= ~fixed | (np.abs(ph - chi) < 1e-8)
+            ok[n] &= ~fixed | (np.abs(ph - character(kx, ky, a, c)) < 1e-8)
+    del tx, y, y_phase, seen
     length = order * order_y / n_fixed  # orbit sizes
-    orbit = np.searchsorted(reps, rep)
     # the image of each representative under the mirror M of both species
     site = np.arange(geom.n_sites)
     mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
@@ -394,20 +413,23 @@ def sector_eigenstates(
     norm = spla.norm(H_reps, ord=np.inf)
     levels = -(-count // m)  # each block's levels come back m times
 
-    # P maps orbit r to the sector vector conj(chi(g)) g|r> / sqrt(L), and
-    # since H commutes with the group, P^dag H P = diag(sqrt L) H[reps] P
-    blocks, E_all, label_all, src = [], [], [], []
-    for n, (kx, ky) in enumerate(labels):
-        column = np.cumsum(ok[n]) - 1
+    def projector(n):
+        # P maps orbit r to the sector vector conj(chi(g)) g|r> / sqrt(L) of
+        # the sector labels[n], over the orbits where that sector exists
         rows = np.flatnonzero(ok[n][orbit])
-        chi = np.exp(2j * np.pi * (kx * a_of[rows] / order
-                                   + ky * c_of[rows] / order_y))
-        P = sp.csr_matrix(
-            (ph_of[rows] / chi / np.sqrt(length[orbit[rows]]),
+        column = np.cumsum(ok[n]) - 1
+        return sp.csr_matrix(
+            (ph_of[rows] / character(*labels[n], a_of[rows], c_of[rows])
+             / np.sqrt(length[orbit[rows]]),
              (rows, column[orbit[rows]])), shape=(dim, int(ok[n].sum())))
-        E, W = np.zeros(0), np.zeros((P.shape[1], 0))
-        if P.shape[1]:
-            kept, k = np.flatnonzero(ok[n]), min(levels, P.shape[1])
+
+    # since H commutes with the group, P^dag H P = diag(sqrt L) H[reps] P
+    Ws, E_all, label_all, src = [], [], [], []
+    for n, (kx, ky) in enumerate(labels):
+        kept = np.flatnonzero(ok[n])
+        E, W = np.zeros(0), np.zeros((kept.size, 0))
+        if kept.size:
+            P, k = projector(n), min(levels, kept.size)
             scale = sp.csr_matrix((np.sqrt(length[kept]),
                                    (np.arange(kept.size), kept)),
                                   shape=(kept.size, reps.size))
@@ -420,28 +442,42 @@ def sector_eigenstates(
             solved = None
             x = mirror[kept]
             if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
-                s_x = np.exp(2j * np.pi * (kx * a_of[x] / order
-                                           + ky * c_of[x] / order_y)) / ph_of[x]
-                solved = _real_frame_eigenstates(block, column[orbit[x]], s_x, k)
+                s_x = character(kx, ky, a_of[x], c_of[x]) / ph_of[x]
+                solved = _real_frame_eigenstates(
+                    block, np.searchsorted(kept, orbit[x]), s_x, k)
             E, W = solved or lowest_eigenstates(
-                block(sp.identity(P.shape[1], format="csr")), k)
+                block(sp.identity(kept.size, format="csr")), k)
             _check_residual(block(W) - W * E, norm)
-        blocks.append((P, W))
+            del P  # the lift builds it again, for the vectors it returns
+        Ws.append(W)
         for j in range(m):
             E_all.append(E)
             label_all.append(np.tile([(kx + j * shift) % order, ky], (E.size, 1)))
             src.append(np.stack([np.full(E.size, n), np.full(E.size, j),
                                  np.arange(E.size)], axis=1))
     E_all, label_all = np.concatenate(E_all), np.concatenate(label_all)
+    src = np.concatenate(src)
     pick = np.lexsort((label_all[:, 1], label_all[:, 0], E_all))[:count]
-    src = np.concatenate(src)[pick]
+    # each level comes back m times: name the T_y images of a returned
+    # level that the cut at count leaves out
+    returned = {(n, i) for n, _, i in src[pick].tolist()}
+    left = sorted(label_all[r].tolist()
+                  for r in np.setdiff1d(np.arange(len(src)), pick)
+                  if (src[r, 0], src[r, 2]) in returned)
+    if left:
+        warnings.warn(
+            f"count {count} cuts a T_y multiplet: its sectors "
+            f"{', '.join(map(str, left))} are not returned", RuntimeWarning,
+            stacklevel=2)
+    src = src[pick]
 
     # lift only the chosen vectors: P W, then T_y^j
+    ty, ty_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b))
     V = np.empty((dim, count), dtype=complex)
-    for n, (P, W) in enumerate(blocks):
+    for n in np.unique(src[:, 0]):
         mine = np.flatnonzero(src[:, 0] == n)
         need, col = np.unique(src[mine, 2], return_inverse=True)
-        X = P @ W[:, need]
+        X = projector(n) @ Ws[n][:, need]
         for j in range(m):
             here = src[mine, 1] == j
             V[:, mine[here]] = X[:, col[here]]

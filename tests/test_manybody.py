@@ -1,4 +1,6 @@
+import gc
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -508,6 +510,39 @@ class TestSectorEigenstates:
         assert sum(dims) == pytest.approx(basis.size / 2, rel=0.01)
         assert E[1] - E[0] < 1e-9 and E[2] - E[1] > 1e-3
         assert sectors[1, 0] == (sectors[0, 0] + 3) % 6
+
+    def test_no_projector_outlives_its_block(self, monkeypatch):
+        # 6x6, alpha = 1/9, N = 2: four sectors, each solved; at every
+        # solve the full-height matrices alive are H and that block's P
+        case = (torus(6, 6), Fraction(1, 9), 2, ModelParams(J=1.0, omega=10.0,
+                                                            U=10.0, J2=0.2))
+        basis, H = torus_hamiltonian(*case)
+        alive = []
+
+        def recording(H_b, count):
+            alive.append(sum(1 for o in gc.get_objects() if sp.issparse(o)
+                             and o.shape[0] == basis.size))
+            return lowest_eigenstates(H_b, count)
+
+        monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
+        sector_eigenstates(columns_of(H), basis, *case[:2], 3)
+        assert alive == [2] * 4
+
+    def test_a_cut_multiplet_is_named(self):
+        # 6x4, alpha = 1/4, N = 3: m = 2, so every level is a T_y doublet;
+        # count 1 returns one member of the ground doublet
+        case = (torus(6, 4), Fraction(1, 4), 3, ModelParams(J=1.0, omega=10.0,
+                                                            U=10.0))
+        basis, H = torus_hamiltonian(*case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E, _, pair = sector_eigenstates(columns_of(H), basis, *case[:2], 2)
+        with pytest.warns(RuntimeWarning, match=re.escape(
+                f"count 1 cuts a T_y multiplet: its sectors {pair[1].tolist()} "
+                "are not returned")):
+            E_1, _, one = sector_eigenstates(columns_of(H), basis, *case[:2], 1)
+        np.testing.assert_array_equal(E_1, E[:1])
+        np.testing.assert_array_equal(one, pair[:1])
 
     @pytest.mark.parametrize("count", [0, -1, 529])
     def test_count_checked_before_any_sector(self, count, monkeypatch):
