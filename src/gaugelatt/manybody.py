@@ -9,7 +9,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,18 +19,7 @@ from .lattice import (LatticeGeometry, LinkField, magnetic_translation_x,
 from .singleparticle import ModelParams, build_bilayer_hamiltonian
 
 DIM_CAP = 20_000_000
-DENSE_BYTES = 2 ** 30  # largest dense complex matrix an eigensolve builds
-
-
-def _pack(modes: np.ndarray, M: int) -> np.ndarray:
-    """Base-M number sum_i modes[..., i] M^(N-1-i) of each mode list: the
-    flat index into the M^N product space, increasing with the
-    lexicographic order of the lists."""
-    modes = np.asarray(modes)
-    key = np.zeros(modes.shape[:-1], dtype=np.int64)
-    for p in range(modes.shape[-1]):
-        key = key * M + modes[..., p]
-    return key
+DENSE_BYTES = 2 ** 30  # largest dense complex array any step builds
 
 
 def _ragged_arange(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -54,21 +42,30 @@ class FockBasis:
     modes: np.ndarray  # (size, N) integers
 
     def __post_init__(self):
-        object.__setattr__(self, "_keys", _pack(self.modes, self.M))
+        M, N = self.M, self.N
+        object.__setattr__(self, "_above", np.array(  # index's terms
+            [[math.comb(M - x + N - 2 - p, N - p) for x in range(M)]
+             for p in range(N)], dtype=np.int64))
 
     @property
     def size(self) -> int:
         return self.modes.shape[0]
 
     def index(self, modes) -> np.ndarray:
-        """Positions of the states listed by the rows of `modes` (each row
-        nondecreasing, as in `self.modes`)."""
-        modes = np.asarray(modes)
-        key = _pack(modes, self.M)
-        pos = np.searchsorted(self._keys, key)
-        found = self._keys[np.minimum(pos, self.size - 1)] == key
-        if not (np.all(found) and np.all((modes >= 0) & (modes < self.M))):
+        """Positions of the rows m of `modes` (each nondecreasing, as in
+        `self.modes`): size - 1 - sum_p C(M - m_p + N - 2 - p, N - p), the
+        p-th term counting the states that first exceed m at slot p."""
+        modes, T = np.asarray(modes), self._above
+        if modes.shape[-1:] != (self.N,) or modes.max(initial=0) >= self.M:
             raise ValueError("mode list is not a sorted state of this basis")
+        pos, prev = np.full(modes.shape[:-1], self.size - 1, dtype=np.int64), 0
+        for p in range(self.N):
+            cur = modes[..., p]
+            if not (prev <= cur).all():
+                raise ValueError(
+                    "mode list is not a sorted state of this basis")
+            pos -= T[p].take(cur)
+            prev = cur
         return pos
 
     def permute(self, perm) -> np.ndarray:
@@ -93,8 +90,6 @@ def build_fock_basis(M: int, N: int) -> FockBasis:
     size = math.comb(M + N - 1, N)
     if size > DIM_CAP:
         raise ValueError(f"basis size {size} exceeds cap {DIM_CAP}")
-    if M ** N > np.iinfo(np.int64).max:
-        raise ValueError(f"{M}^{N} product states overflow the 64-bit state keys")
     # prepend a leading mode m to every (shorter) row whose first mode is >= m
     modes = np.zeros((1, 0), dtype=np.int32)
     for _ in range(N):
@@ -192,12 +187,12 @@ def build_manybody_hamiltonian(
     return H.tocsr()
 
 
-def _check_dense(rows: int, cols: int, what: str):
+def _check_dense(rows: int, cols: int, what: str, fix="lower the count"):
     """Fail before allocating a rows x cols complex array above DENSE_BYTES."""
     size = 16 * rows * cols
     if size > DENSE_BYTES:
         raise ValueError(f"{what}: {size / 2 ** 30:.1f} GiB, above the "
-                         f"{DENSE_BYTES / 2 ** 30:g} GiB limit (lower the count)")
+                         f"{DENSE_BYTES / 2 ** 30:g} GiB limit ({fix})")
 
 
 def _check_residual(R: np.ndarray, norm: float):
@@ -485,12 +480,12 @@ def sector_eigenstates(
     return E_all[pick], V, label_all[pick]
 
 
-def _label_permutations(N: int) -> np.ndarray:
-    """The N! particle orderings as index maps of the 2^N internal-label
-    patterns (binary, particle 0 the top bit): transposes of the labels."""
-    labels = np.arange(2 ** N).reshape((2,) * N)
-    return np.array([labels.transpose(pi).ravel()
-                     for pi in permutations(range(N))])
+def _orbit_mean(x: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """x with each entry replaced by the mean of the entries of x that
+    share its key (nonnegative integers, x's shape)."""
+    k = key.ravel()
+    total = np.bincount(k, x.real.ravel()) + 1j * np.bincount(k, x.imag.ravel())
+    return (total / np.maximum(np.bincount(k), 1))[key]
 
 
 def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -503,14 +498,15 @@ def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
     v[i] sqrt(arr_ns(X) / arr_M(i)), i the bilayer state sort(X + ns s) and
     arr the `arrangements`.  The first-quantized factor C over the ns^N
     ordered site lists, rho = C C^dag, is never formed (16 (2 ns)^N bytes
-    to expand): its label Gram matrix is C^dag C = mean_pi P_pi F^dag F
-    P_pi^T over the N! particle orderings pi, which `purity` and
-    `subspace_overlap` read.
+    to expand): its label Gram matrix C^dag C is F^dag F averaged over the
+    particle orderings, which `purity` and `subspace_overlap` take as an
+    orbit mean.  F is at most DENSE_BYTES.
     """
     if basis.M % 2 != 0:
         raise ValueError("mode count must be even (two internal states)")
     ns, N = basis.M // 2, basis.N
     motion = build_fock_basis(ns, N)
+    _check_dense(motion.size, 2 ** N, "motional factor F", "fewer bosons")
     amp = v / np.sqrt(basis.arrangements())  # first-quantized amplitudes
     F = np.empty((motion.size, 2 ** N), dtype=complex)
     for s, label in enumerate(np.ndindex((2,) * N)):
@@ -522,13 +518,15 @@ def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 def purity(F: np.ndarray) -> float:
     """Tr(rho^2) of the motional density matrix whose factor F
-    `motional_density_matrix` returns: Tr(G^2) = ||G||_F^2 for the label
-    Gram matrix G = mean_pi P_pi F^dag F P_pi^T."""
-    G = F.conj().T @ F
-    G = np.mean([G[np.ix_(p, p)]
-                 for p in _label_permutations(F.shape[1].bit_length() - 1)],
-                axis=0)
-    return float(np.sum(np.abs(G) ** 2))
+    `motional_density_matrix` returns: ||G||_F^2, G = F^dag F averaged over
+    the particle orderings, i.e. over the orbit of each pattern pair (s, t),
+    keyed by the b-label counts of s, t and s & t (G at most DENSE_BYTES)."""
+    n = F.shape[1]
+    _check_dense(n, n, f"label Gram matrix of {n} patterns", "fewer bosons")
+    s, base = np.arange(n), n.bit_length()  # base N + 1 > any b count
+    b = np.array([bin(i).count("1") for i in range(n)])
+    key = (b[:, None] * base + b) * base + b[s[:, None] & s]
+    return float(np.sum(np.abs(_orbit_mean(F.conj().T @ F, key)) ** 2))
 
 
 def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
@@ -549,8 +547,9 @@ def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
 def subspace_overlap(F: np.ndarray, states) -> float:
     """Tr(P rho P) of the motional density matrix whose factor F
     `motional_density_matrix` returns, for the projector P onto orthonormal
-    motional Fock vectors (the rows of `states`): the sum over states l of
-    ||mean_pi P_pi F^T conj(l)||^2."""
+    motional Fock vectors l (the rows of `states`): sum_l ||w_l||^2, w_l =
+    F^T conj(l) averaged over the patterns with the same b-label count."""
     w = F.T @ np.conj(states).T  # (2^N, number of states)
-    w = w[_label_permutations(F.shape[1].bit_length() - 1)].mean(axis=0)
-    return float(np.sum(np.abs(w) ** 2))
+    b = np.array([bin(i).count("1") for i in range(F.shape[1])])
+    key = b[:, None] * w.shape[1] + np.arange(w.shape[1])
+    return float(np.sum(np.abs(_orbit_mean(w, key)) ** 2))

@@ -24,10 +24,10 @@ from gaugelatt.lattice import (Boundary, LatticeGeometry, links_from_phases,
                                uniform_phase_pattern)
 from gaugelatt.laughlin import (laughlin_lattice_states, theta1,
                                 theta_with_characteristics)
-from gaugelatt.manybody import (_pack, build_fock_basis,
-                                build_manybody_hamiltonian, c_mode_number,
-                                lowest_eigenstates, motional_density_matrix,
-                                purity, second_quantize, subspace_overlap)
+from gaugelatt.manybody import (build_fock_basis, build_manybody_hamiltonian,
+                                c_mode_number, lowest_eigenstates,
+                                motional_density_matrix, purity,
+                                second_quantize, subspace_overlap)
 from gaugelatt.singleparticle import ModelParams, build_bilayer_hamiltonian
 from product_space import (reference_factor, reference_first_quantized,
                            reference_purity, reference_subspace_overlap)
@@ -116,7 +116,8 @@ def product_to_symmetric_fock(psi, basis):
     psi = np.asarray(psi).ravel()
     out = np.zeros(basis.size, dtype=complex)
     for perm in permutations(range(basis.N)):
-        out += psi[_pack(basis.modes[:, list(perm)], basis.M)]
+        modes = basis.modes[:, list(perm)]
+        out += psi[np.ravel_multi_index(tuple(modes.T), (basis.M,) * basis.N)]
     return out * (np.sqrt(basis.arrangements()) / math.factorial(basis.N))
 
 
@@ -218,7 +219,8 @@ class TestBasis:
         np.testing.assert_array_equal(basis.index(rows),
                                       np.arange(basis.size)[::-1])
 
-    @pytest.mark.parametrize("row", [[1, 0], [0, 6], [-1, 2]])
+    @pytest.mark.parametrize("row", [[1, 0], [0, 6], [-1, 2], [7, 1], [0],
+                                     [0, 1, 2]])
     def test_index_rejects_non_states(self, row):
         with pytest.raises(ValueError, match="not a sorted state"):
             build_fock_basis(6, 2).index(row)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -52,10 +53,12 @@ class TestFockBasis:
         assert basis.size == 8256  # C(129, 2)
 
     def test_index_bijection(self):
-        basis = build_fock_basis(5, 3)
-        assert basis.size == math.comb(7, 3)
-        np.testing.assert_array_equal(basis.index(basis.modes),
-                                      np.arange(basis.size))
+        # 6^25 > 2^63: more product states than a 64-bit key can number
+        for M, N in [(5, 3), (6, 25)]:
+            basis = build_fock_basis(M, N)
+            assert basis.size == math.comb(M + N - 1, N)
+            np.testing.assert_array_equal(basis.index(basis.modes),
+                                          np.arange(basis.size))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -596,7 +599,53 @@ class TestMotionalDensityMatrix:
         assert np.sum(evals) == pytest.approx(1.0, abs=1e-10)
 
 
+def permutation_averaged_purity(F):
+    """Tr(G^2), G the mean of F^dag F over the N! particle orderings, each
+    applied to the label patterns as a transpose of their N bits."""
+    N = F.shape[1].bit_length() - 1
+    labels = np.arange(2 ** N).reshape((2,) * N)
+    G0, G = F.conj().T @ F, 0
+    for pi in itertools.permutations(range(N)):
+        p = labels.transpose(pi).ravel()
+        G = G + G0[np.ix_(p, p)] / math.factorial(N)
+    return float(np.sum(np.abs(G) ** 2))
+
+
 class TestDiagnostics:
+    def test_purity_memory_does_not_grow_with_n_factorial(self):
+        # N = 6: 720 orderings of a 64 x 64 label Gram matrix
+        rng = np.random.default_rng(7)
+        F = rng.normal(size=(21, 64)) + 1j * rng.normal(size=(21, 64))
+        F /= np.linalg.norm(F)
+        tracemalloc.start()
+        try:
+            got = purity(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert abs(got - permutation_averaged_purity(F)) <= 1e-12
+
+    def test_purity_checks_the_gram_matrix_before_allocating(self):
+        # 14 bosons: 4^14 label pairs, a 4 GiB Gram matrix
+        F = np.zeros((1, 2 ** 14), dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"^label Gram matrix of 16384 patterns: 4\.0 GiB, above "
+                    r"the 1 GiB limit \(fewer bosons\)$")):
+                purity(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_motional_factor_checked_before_allocating(self):
+        # 25 bosons on 2 sites: 26 motional states x 2^25 patterns, 13 GiB
+        basis = build_fock_basis(4, 25)
+        with pytest.raises(ValueError, match=r"^motional factor F: 13\.0 GiB"):
+            motional_density_matrix(np.zeros(basis.size), basis)
+
     def test_maximally_mixed_purity(self):
         # two particles, one a and one b at distinct sites: purity 1/2 is
         # the maximally mixed 2x2 case of the label trace
