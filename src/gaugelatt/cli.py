@@ -64,6 +64,7 @@ def cmd_ground(args) -> int:
     params = singleparticle.ModelParams(J=args.j, omega=args.omega,
                                         U=args.u, J2=args.j2)
     basis = manybody.build_fock_basis(2 * geom.n_sites, args.n)
+    manybody.check_purity_size(2 ** args.n)  # before any state is solved
     # H is built on the orbit representatives only, never on the full space
     E, V, sectors = manybody.sector_eigenstates(
         lambda idx: manybody.build_manybody_hamiltonian(geom, links, params,
@@ -121,12 +122,10 @@ def cmd_synth(args) -> int:
         geom = LatticeGeometry(args.lx, args.ly, boundary=Boundary.OPEN)
         if args.pattern == "uniform":
             pat = lattice.uniform_phase_pattern(args.alpha, geom)
-        elif args.pattern == "checkerboard":
+        else:  # "checkerboard", the only other choice
             j = np.arange(geom.Lx)[:, None]
             k = np.arange(geom.Ly)[None, :]
             pat = lattice.PhasePattern(phi=np.pi * ((j + k) % 2))
-        else:
-            return _fail(f"unknown pattern '{args.pattern}'")
     wm = beamsynth.WannierModel(sigma_a=beamsynth.wannier_width(args.depth_a),
                                 sigma_b=beamsynth.wannier_width(args.depth_b))
     mf = beamsynth.ModeFunction(w=args.waist)

@@ -480,12 +480,14 @@ def sector_eigenstates(
     return E_all[pick], V, label_all[pick]
 
 
-def _orbit_mean(x: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """x with each entry replaced by the mean of the entries of x that
-    share its key (nonnegative integers, x's shape)."""
+def _orbit_mean_norm2(x: np.ndarray, key: np.ndarray) -> float:
+    """The squared norm of x with each entry replaced by the mean of the
+    entries of x that share its key (nonnegative integers, x's shape):
+    sum_key |total|^2 / count, without the gathered copy of x."""
     k = key.ravel()
-    total = np.bincount(k, x.real.ravel()) + 1j * np.bincount(k, x.imag.ravel())
-    return (total / np.maximum(np.bincount(k), 1))[key]
+    total2 = (np.bincount(k, x.real.ravel()) ** 2
+              + np.bincount(k, x.imag.ravel()) ** 2)
+    return float(np.sum(total2 / np.maximum(np.bincount(k), 1)))
 
 
 def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -516,17 +518,23 @@ def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
     return F
 
 
+def check_purity_size(n: int):
+    """Fail if the n x n label Gram matrix that `purity` builds for n = 2^N
+    label patterns is above DENSE_BYTES; callable before F is built."""
+    _check_dense(n, n, f"label Gram matrix of {n} patterns", "fewer bosons")
+
+
 def purity(F: np.ndarray) -> float:
     """Tr(rho^2) of the motional density matrix whose factor F
     `motional_density_matrix` returns: ||G||_F^2, G = F^dag F averaged over
     the particle orderings, i.e. over the orbit of each pattern pair (s, t),
     keyed by the b-label counts of s, t and s & t (G at most DENSE_BYTES)."""
     n = F.shape[1]
-    _check_dense(n, n, f"label Gram matrix of {n} patterns", "fewer bosons")
+    check_purity_size(n)
     s, base = np.arange(n), n.bit_length()  # base N + 1 > any b count
     b = np.array([bin(i).count("1") for i in range(n)])
     key = (b[:, None] * base + b) * base + b[s[:, None] & s]
-    return float(np.sum(np.abs(_orbit_mean(F.conj().T @ F, key)) ** 2))
+    return _orbit_mean_norm2(F.conj().T @ F, key)
 
 
 def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
@@ -552,4 +560,4 @@ def subspace_overlap(F: np.ndarray, states) -> float:
     w = F.T @ np.conj(states).T  # (2^N, number of states)
     b = np.array([bin(i).count("1") for i in range(F.shape[1])])
     key = b[:, None] * w.shape[1] + np.arange(w.shape[1])
-    return float(np.sum(np.abs(_orbit_mean(w, key)) ** 2))
+    return _orbit_mean_norm2(w, key)

@@ -193,54 +193,31 @@ def bloch_block(alpha_p: int, alpha_q: int, params: ModelParams,
     return H
 
 
-def _k_classes(k: np.ndarray,
+def _k_classes(n: int,
                q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes of the 1D grid k under k -> k + 2 pi/q and k -> -k, and
-    their pairing by the shift of the class key by q/2 (k -> k + pi on the x
-    axis, k -> k + pi (q mod 2)/q on the y axis).
+    """The classes of the grid k = 2 pi j/n, j < n, under k -> k + 2 pi/q and
+    k -> -k, and their pairing by k -> k + pi on the x axis and k -> k + pi
+    (q mod 2)/q on the y axis.
 
-    Returns (reps, sizes, partner), classes in ascending key order: the index
-    of each representative in k, the number of points of each class, and the
-    class whose key matches the shifted key (-1 if none on the grid; a class
-    may be its own partner).
-
-    The class key, q k/2 pi mod 1 folded into [0, 1/2], is exact up to about
-    2 q eps |k|/2 pi in floats.  A point joins a class when its key lies
-    within TOL = 16 q eps (1 + max|k|/2 pi) of the smallest key of the class,
-    whose point is the representative.  On a grid k = 2 pi j/n these are
-    exactly the classes of the integer key min(qj mod n, n - qj mod n), whose
-    distinct values lie 1/n apart.  On any grid a merged point lies within
-    2 pi TOL/q of an exact image of the representative, which moves the
-    block spectrum by at most about 1e-13 (J + 2 J2)(1 + max|k|/2 pi).  A
-    partner's key lies within TOL of the shifted key, and partners are
-    mutual.
+    A class is keyed by 2 min(qj mod n, n - qj mod n), and the pairing maps
+    the key s to |n (q mod 2) - s|.  Returns (reps, sizes, partner), classes
+    in ascending key order: the smallest j of each class, the number of
+    points of each class, and the class whose key is the mapped key (-1 if
+    none on the grid; a class may be its own partner).
     """
-    t = k / (2.0 * np.pi)
-    u = (q * t) % 1.0
-    key = np.minimum(u, 1.0 - u)
-    tol = 16 * np.finfo(float).eps * q * (1.0 + np.abs(t).max(initial=0.0))
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = []
-    for i, x in enumerate(sorted_key):
-        if not starts or x - sorted_key[starts[-1]] > tol:
-            starts.append(i)
-    starts = np.array(starts, dtype=int)
-    sizes = np.diff(np.append(starts, k.size))
-    rep_key = sorted_key[starts]
-    shifted = np.abs(0.5 * (q % 2) - rep_key)  # fold(key + q/2)
-    # representative keys lie more than TOL apart: take the first in range
-    near = np.searchsorted(rep_key, shifted - tol).clip(max=rep_key.size - 1)
-    partner = np.where(np.abs(rep_key[near] - shifted) <= tol, near, -1)
-    partner[partner[partner] != np.arange(partner.size)] = -1
-    return order[starts], sizes, partner
+    u = q * np.arange(n) % n
+    keys, reps, sizes = np.unique(2 * np.minimum(u, n - u), return_index=True,
+                                  return_counts=True)
+    shifted = np.abs(n * (q % 2) - keys)
+    near = np.searchsorted(keys, shifted).clip(max=keys.size - 1)
+    return reps, sizes, np.where(keys[near] == shifted, near, -1)
 
 
 def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
-                         kx_grid, ky_grid) -> SpectrumResult:
-    """Pooled eigenvalues of the magnetic Bloch blocks over a k grid, as
-    the distinct levels of the pool and the number of copies of each: the
-    counts add up to 2q |kx_grid| |ky_grid|.
+                         nx: int, ny: int) -> SpectrumResult:
+    """Pooled eigenvalues of the magnetic Bloch blocks over the nx x ny k
+    grid 2 pi (jx/nx, jy/ny), as the distinct levels of the pool and the
+    number of copies of each: the counts add up to 2q nx ny.
 
     The block spectrum depends on kx and ky only through q kx and q ky mod
     2 pi, up to sign: kx -> kx + 2 pi/q relabels the cell rows m cyclically,
@@ -256,16 +233,16 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     coupling omega times the identity stays as it is.  With W
     = F on both species followed by the a <-> b swap, W H(kx, ky) W^dag =
     conj H(ky, kx), so the class pairs (cx, cy) and (cy, cx) have the same
-    levels when both axes share one grid.
+    levels when nx == ny.
 
     With J2 = 0 the bilayer is bipartite: a_m and b_m sit on opposite
     sublattices of the graph, and S = diag((-1)^m on the a rows, -(-1)^m on
     the b rows) gives S H(kx, ky) S = -D^dag H(kx + pi, ky + pi (q mod 2)/q) D,
     with the row gauge D = diag(e^{i pi m (q mod 2)/q}) on both species.  So
     the levels at k + (pi, pi (q mod 2)/q) are minus those at k: a class pair
-    and its image, whose keys differ by q/2 on both axes (`_k_classes`
-    partners), have opposite levels.  J2 bonds join a sublattice to itself,
-    so with J2 > 0 no pair has an image.
+    and its image (`_k_classes` partners on both axes) have opposite
+    levels.  J2 bonds join a sublattice to itself, so with J2 > 0 no pair
+    has an image.
 
     Each orbit of class pairs under the transpose and the image takes its
     levels E from the block of its first pair: E for that pair and its
@@ -274,11 +251,9 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     """
     alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
-    grids = [np.atleast_1d(np.asarray(g, dtype=float))
-             for g in (kx_grid, ky_grid)]
-    same = np.array_equal(grids[0], grids[1])
-    rx, nx, px = _k_classes(grids[0], q)
-    ry, ny, py = (rx, nx, px) if same else _k_classes(grids[1], q)
+    same = nx == ny
+    rx, sx, px = _k_classes(nx, q)
+    ry, sy, py = (rx, sx, px) if same else _k_classes(ny, q)
     cx, cy = (c.ravel() for c in np.meshgrid(np.arange(rx.size),
                                              np.arange(ry.size),
                                              indexing="ij"))
@@ -293,7 +268,8 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
                                      cx.size) + 1)
     source, flip = np.divmod(np.min(keys, axis=0), 2)
     solve = source == np.arange(cx.size)
-    kx, ky = grids[0][rx][cx[solve]], grids[1][ry][cy[solve]]
+    kx = 2.0 * np.pi * rx[cx[solve]] / nx
+    ky = 2.0 * np.pi * ry[cy[solve]] / ny
     step = max(1, BLOCK_BYTES // (16 * (2 * q) ** 2))
     evals = np.concatenate([
         np.linalg.eigvalsh(bloch_block(p, q, params, kx[i:i + step],
@@ -301,7 +277,7 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
         for i in range(0, max(kx.size, 1), step)]).reshape(-1, 2 * q)
     # the k-points that take E (column 0) and -E (column 1) of each block
     weight = np.zeros((evals.shape[0], 2), dtype=np.int64)
-    np.add.at(weight, ((np.cumsum(solve) - 1)[source], flip), nx[cx] * ny[cy])
+    np.add.at(weight, ((np.cumsum(solve) - 1)[source], flip), sx[cx] * sy[cy])
     mirror = weight[:, 1] > 0
     levels = np.concatenate([evals, -evals[mirror]]).ravel()
     weights = np.repeat(np.concatenate([weight[:, 0], weight[mirror, 1]]),
@@ -315,15 +291,17 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
 
 def commensurate_bloch_spectrum(alpha: Fraction, params: ModelParams,
                                 geom: LatticeGeometry) -> SpectrumResult:
-    """Bloch spectrum pooled over the k grid commensurate with an Lx x Ly
-    torus (requires q | Ly); matches the finite-lattice spectrum."""
+    """Bloch spectrum of an Lx x Ly torus (requires q | Ly); matches the
+    finite-lattice spectrum.  Its k-points are those of the Lx x Ly grid up
+    to ky -> ky + 2 pi/q, which acts freely on the grid and keeps each
+    block's levels: the full grid with every count divided by q."""
     alpha = Fraction(alpha)
     q = alpha.denominator
     if geom.Ly % q != 0:
         raise ValueError(f"q={q} must divide Ly={geom.Ly}")
-    kx_grid = 2.0 * np.pi * np.arange(geom.Lx) / geom.Lx
-    ky_grid = 2.0 * np.pi * np.arange(geom.Ly // q) / geom.Ly
-    return bloch_block_spectrum(alpha, params, kx_grid, ky_grid)
+    res = bloch_block_spectrum(alpha, params, geom.Lx, geom.Ly)
+    return SpectrumResult(p=res.p, q=q, levels=res.levels,
+                          counts=res.counts // q)
 
 
 def finite_lattice_spectrum(alpha: Fraction, params: ModelParams,
@@ -367,12 +345,11 @@ def butterfly_scan(q_max: int, params: ModelParams,
     """
     if resolution < 1:
         raise ValueError(f"need resolution >= 1, got {resolution}")
-    k = 2.0 * np.pi * np.arange(resolution) / resolution
-    return _mirrored_scan(farey_alphas(q_max), params, k)
+    return _mirrored_scan(farey_alphas(q_max), params, resolution)
 
 
 def _mirrored_scan(alphas: list[Fraction], params: ModelParams,
-                   k: np.ndarray) -> Iterator[SpectrumResult]:
+                   resolution: int) -> Iterator[SpectrumResult]:
     pending = {}  # 1 - alpha -> (levels, counts) of a solved alpha < 1/2
     for a in alphas:
         if a in pending:
@@ -380,7 +357,7 @@ def _mirrored_scan(alphas: list[Fraction], params: ModelParams,
             yield SpectrumResult(p=a.numerator, q=a.denominator,
                                  levels=levels, counts=counts)
             continue
-        r = bloch_block_spectrum(a, params, k, k)
+        r = bloch_block_spectrum(a, params, resolution, resolution)
         if 2 * a < 1:
             pending[1 - a] = r.levels, r.counts
         yield r

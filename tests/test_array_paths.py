@@ -382,15 +382,28 @@ class TestKClasses:
              nx=8, ny=4)
     def test_uniform_grid_matches_per_k(self, flux, params, nx, ny):
         p, q = flux
-        kx, ky = uniform_k(nx), uniform_k(ny)
-        res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
-        assert_pooled_matches_per_k(res, p, q, params, kx, ky)
+        res = bloch_block_spectrum(Fraction(p, q), params, nx, ny)
+        assert_pooled_matches_per_k(res, p, q, params, uniform_k(nx),
+                                    uniform_k(ny))
+
+    def test_classes_are_the_integer_keys(self):
+        for q in range(1, 13):
+            for n in range(1, 25):
+                keys = sorted(integer_keys(q, n))
+                members = [[j for j in range(n)
+                            if min(q * j % n, n - q * j % n) == key]
+                           for key in keys]
+                shifted = [abs(n * (q % 2) / 2 - key) for key in keys]
+                reps, sizes, partner = singleparticle._k_classes(n, q)
+                assert reps.tolist() == [m[0] for m in members]
+                assert sizes.tolist() == [len(m) for m in members]
+                assert partner.tolist() == [
+                    keys.index(s) if s in keys else -1 for s in shifted]
 
     def test_tiny_omega_gives_the_levels_of_omega_zero(self):
         # eigvalsh puts these levels 1e-11 off if omega = 1e-78 is kept
-        k = uniform_k(8)
         tiny, zero = (bloch_block_spectrum(Fraction(1, 4),
-                                           ModelParams(J=1.0, omega=omega), k, k)
+                                           ModelParams(J=1.0, omega=omega), 8, 8)
                       for omega in (1e-78, 0.0))
         ref = zero.eigenvalues
         assert np.all(np.abs(tiny.eigenvalues - ref)
@@ -410,20 +423,8 @@ class TestKClasses:
     @given(flux=fluxes, params=bilayer_params)
     def test_single_point_matches_per_k(self, flux, params):
         p, q = flux
-        res = bloch_block_spectrum(Fraction(p, q), params, [0.0], [0.0])
+        res = bloch_block_spectrum(Fraction(p, q), params, 1, 1)
         assert_pooled_matches_per_k(res, p, q, params, [0.0], [0.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(flux=fluxes, params=bilayer_params,
-           k=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
-           shift=st.integers(-3, 3))
-    def test_any_grid_with_images_matches_per_k(self, flux, params, k, shift):
-        # float images k + 2 pi s/q and -k merge; k + 1e-9 must not
-        p, q = flux
-        k = np.array(k)
-        grid = np.concatenate([k, -k, k + 2.0 * np.pi * shift / q, k + 1e-9])
-        res = bloch_block_spectrum(Fraction(p, q), params, grid, grid[::-1])
-        assert_pooled_matches_per_k(res, p, q, params, grid, grid[::-1])
 
     @settings(max_examples=100, deadline=None)
     @given(flux=odd_q_fluxes, params=bipartite_params,
@@ -432,24 +433,10 @@ class TestKClasses:
         # with J2 = 0 and odd q, the classes of an even grid pair up by
         # k -> k + (pi, pi/q); an odd grid holds no partner
         p, q = flux
-        for kx, ky in ((uniform_k(2 * nx), uniform_k(2 * ny)),
-                       (uniform_k(2 * nx - 1), uniform_k(2 * ny - 1))):
-            res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
-            assert_pooled_matches_per_k(res, p, q, params, kx, ky)
-
-    @settings(max_examples=100, deadline=None)
-    @given(flux=fluxes, params=bipartite_params,
-           k=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
-    def test_any_grid_with_sublattice_images_matches_per_k(self, flux, params,
-                                                           k):
-        # float images k + (pi, pi (q mod 2)/q) pair; images + 1e-9 must not
-        p, q = flux
-        k = np.array(k)
-        shift = np.pi * (q % 2) / q
-        kx = np.concatenate([k, k + np.pi, k + np.pi + 1e-9])
-        ky = np.concatenate([k, k + shift, k + shift + 1e-9])
-        res = bloch_block_spectrum(Fraction(p, q), params, kx, ky)
-        assert_pooled_matches_per_k(res, p, q, params, kx, ky)
+        for mx, my in ((2 * nx, 2 * ny), (2 * nx - 1, 2 * ny - 1)):
+            res = bloch_block_spectrum(Fraction(p, q), params, mx, my)
+            assert_pooled_matches_per_k(res, p, q, params, uniform_k(mx),
+                                        uniform_k(my))
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -469,56 +456,34 @@ class TestKClasses:
         for q in range(1, 13):
             for n in range(1, 13):
                 built.clear()
-                bloch_block_spectrum(Fraction(1, q), params, uniform_k(n),
-                                     uniform_k(n))
+                bloch_block_spectrum(Fraction(1, q), params, n, n)
                 assert sum(built) == integer_orbit_blocks(q, n, False)
-            built.clear()
-            geom = LatticeGeometry(6, 2 * q, boundary=Boundary.MAGNETIC_TORUS)
-            commensurate_bloch_spectrum(Fraction(1, q), params, geom)
-            assert sum(built) == integer_k_classes(q, 6) * 2
 
     def test_unequal_grids_are_not_transposed(self, built):
-        # the commensurate grids differ on the two axes: one block per pair
-        # of an x class and a y class, as before the transpose was used
+        # a torus solves one block per pair of an x class and a y class,
+        # but a square one only one per transposed pair of them
         params = ModelParams(J=1.0, omega=2.0, J2=0.3)
         for q in range(1, 13):
-            for p in range(q + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                built.clear()
-                geom = LatticeGeometry(6, 2 * q,
-                                       boundary=Boundary.MAGNETIC_TORUS)
-                commensurate_bloch_spectrum(Fraction(p, q), params, geom)
-                assert sum(built) == integer_k_classes(q, 6) * 2
+            Ly = 2 * q
+            for Lx in sorted({6, Ly}):
+                for p in range(q + 1):
+                    if math.gcd(p, q) != 1:
+                        continue
+                    built.clear()
+                    geom = LatticeGeometry(Lx, Ly,
+                                           boundary=Boundary.MAGNETIC_TORUS)
+                    commensurate_bloch_spectrum(Fraction(p, q), params, geom)
+                    assert sum(built) == (
+                        integer_orbit_blocks(q, Ly, False) if Lx == Ly
+                        else integer_k_classes(q, Lx) * integer_k_classes(q, Ly))
 
     def test_one_block_per_pair_of_integer_classes(self, built):
         params = ModelParams(J=1.0, omega=2.0)
         for q in range(1, 13):
             for n in range(1, 13):
                 built.clear()
-                bloch_block_spectrum(Fraction(1, q), params, uniform_k(n),
-                                     uniform_k(n))
+                bloch_block_spectrum(Fraction(1, q), params, n, n)
                 assert sum(built) == integer_orbit_blocks(q, n, True)
-
-    def test_float_images_pair_and_near_images_do_not(self, built):
-        params = ModelParams(J=1.0, omega=0.8)
-        kx, ky = np.array([0.3, 0.3 + np.pi]), np.array([0.7, 0.7 + np.pi / 5])
-        # (kx0, ky0) pairs with (kx1, ky1), (kx0, ky1) with (kx1, ky0)
-        for dx, dy, blocks in ((0.0, 0.0, 2), (1e-9, 0.0, 4), (0.0, 1e-9, 4)):
-            built.clear()
-            bloch_block_spectrum(Fraction(2, 5), params, kx + [0.0, dx],
-                                 ky + [0.0, dy])
-            assert sum(built) == blocks
-
-    def test_partner_matching_is_one_to_one(self):
-        # two classes 1.8 TOL apart both lie within TOL of the image of the
-        # class at key 0.1; only one of them may take its levels
-        tol = 16 * np.finfo(float).eps * 1.5
-        kx = 2.0 * np.pi * np.array([0.1, 0.4 - 0.9 * tol, 0.4 + 0.9 * tol])
-        ky = np.array([0.0, np.pi])
-        params = ModelParams(J=1.0, omega=0.7)
-        res = bloch_block_spectrum(Fraction(0, 1), params, kx, ky)
-        assert_pooled_matches_per_k(res, 0, 1, params, kx, ky)
 
     # the fluxes alpha <= 1/2 only: each alpha > 1/2 reuses 1 - alpha
     @pytest.mark.parametrize("J2,blocks", [(0.0, 1003), (0.1, 1555)])
@@ -530,19 +495,18 @@ class TestKClasses:
     def test_chunks_give_the_same_bits(self, built, monkeypatch):
         # J2 > 0 diagonalizes the 28 transpose pairs of the 7 x 7 classes;
         # J2 = 0 also pairs them by the sublattice image into 16 blocks
-        k = uniform_k(12)
         full = singleparticle.BLOCK_BYTES
         for J2, total in ((0.2, 28), (0.0, 16)):
             params = ModelParams(J=1.0, omega=1.5, J2=J2)
             monkeypatch.setattr(singleparticle, "BLOCK_BYTES", full)
             built.clear()
-            whole = bloch_block_spectrum(Fraction(2, 7), params, k, k)
+            whole = bloch_block_spectrum(Fraction(2, 7), params, 12, 12)
             assert built == [total]
             for blocks in (1, 5):
                 built.clear()
                 monkeypatch.setattr(singleparticle, "BLOCK_BYTES",
                                     blocks * 16 * 14 ** 2)
-                chunked = bloch_block_spectrum(Fraction(2, 7), params, k, k)
+                chunked = bloch_block_spectrum(Fraction(2, 7), params, 12, 12)
                 assert max(built) == blocks and sum(built) == total
                 assert_same_bits(chunked.eigenvalues, whole.eigenvalues)
 
@@ -556,8 +520,7 @@ class TestFluxMirror:
            ny=st.integers(1, 9))
     def test_mirror_flux_has_the_same_spectrum(self, flux, params, nx, ny):
         p, q = flux
-        kx, ky = uniform_k(nx), uniform_k(ny)
-        e, mirror = (bloch_block_spectrum(a, params, kx, ky).eigenvalues
+        e, mirror = (bloch_block_spectrum(a, params, nx, ny).eigenvalues
                      for a in (Fraction(p, q), 1 - Fraction(p, q)))
         assert np.all(np.abs(mirror - e) <= 1e-12 * np.maximum(1.0, np.abs(e)))
 
@@ -565,7 +528,6 @@ class TestFluxMirror:
     @given(q_max=st.integers(2, 9), params=bilayer_params,
            n=st.integers(1, 9))
     def test_scan_matches_a_direct_call_at_every_flux(self, q_max, params, n):
-        k = uniform_k(n)
         solved = []
         compute = singleparticle.bloch_block_spectrum
 
@@ -581,8 +543,8 @@ class TestFluxMirror:
         assert [(r.p, r.q) for r in scan] == [
             (a.numerator, a.denominator) for a in alphas]
         for r in scan:
-            e = bloch_block_spectrum(Fraction(r.p, r.q), params, k,
-                                     k).eigenvalues
+            e = bloch_block_spectrum(Fraction(r.p, r.q), params, n,
+                                     n).eigenvalues
             assert np.all(np.abs(r.eigenvalues - e)
                           <= 1e-12 * np.maximum(1.0, np.abs(e)))
 

@@ -176,6 +176,25 @@ class TestGround:
         assert rc == 0
         assert lifted == [n_orbits] and n_orbits < basis.size / 4
 
+    def test_gram_size_fails_before_any_state_is_solved(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # 14 bosons: a 4 GiB label Gram matrix; neither the sectors nor F's
+        # loop over the 16,384 label patterns may run first
+        ran = []
+        for name in ("sector_eigenstates", "motional_density_matrix"):
+            monkeypatch.setattr(manybody, name,
+                                lambda *args, name=name: ran.append(name))
+        out = tmp_path / "g.json"
+        rc, stdout, stderr = run(["ground", "--lx", "1", "--ly", "3", "--n",
+                                  "14", "--alpha", "1/3", "--count", "1",
+                                  "--output", str(out)], capsys)
+        assert rc == 1 and stdout == "" and ran == []
+        assert json.loads(stderr) == {
+            "command": "ground",
+            "error": "label Gram matrix of 16384 patterns: 4.0 GiB, above "
+                     "the 1 GiB limit (fewer bosons)"}
+        assert not out.exists()
+
     def test_degenerate_partner_reported(self, tmp_path, capsys):
         # nu = 1/2 on 4x8: the ground doublet is exact, and --count 2 must
         # return both members (from different translation sectors), not

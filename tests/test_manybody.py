@@ -626,6 +626,28 @@ class TestDiagnostics:
         assert peak < 4 << 20
         assert abs(got - permutation_averaged_purity(F)) <= 1e-12
 
+    def test_purity_builds_no_gathered_copy_of_the_gram_matrix(self):
+        # N = 8: the 256 x 256 Gram matrix takes 1 MiB, its int64 orbit key
+        # and the real part that bincount reads 0.5 MiB each; the orbit
+        # means gathered back to the Gram matrix's shape would add 1 MiB
+        rng = np.random.default_rng(7)
+        F = rng.normal(size=(9, 256)) + 1j * rng.normal(size=(9, 256))
+        F /= np.linalg.norm(F)
+        tracemalloc.start()
+        try:
+            got = purity(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2 ** 20
+        b = np.array([bin(i).count("1") for i in range(256)])
+        s = np.arange(256)
+        key = (b[:, None] * 9 + b) * 9 + b[s[:, None] & s]
+        G = F.conj().T @ F
+        want = sum(np.sum(key == k) * np.abs(G[key == k].mean()) ** 2
+                   for k in np.unique(key))
+        assert abs(got - want) <= 1e-12 * want
+
     def test_purity_checks_the_gram_matrix_before_allocating(self):
         # 14 bosons: 4^14 label pairs, a 4 GiB Gram matrix
         F = np.zeros((1, 2 ** 14), dtype=complex)

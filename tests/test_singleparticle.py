@@ -178,7 +178,7 @@ class TestCdDecompose:
 class TestBlochBlocks:
     def test_alpha_zero_single_point(self):
         res = bloch_block_spectrum(Fraction(0, 1), ModelParams(J=1.0, omega=0.7),
-                                   [0.0], [0.0])
+                                   1, 1)
         np.testing.assert_allclose(res.eigenvalues, [-2.7, -1.3], atol=1e-14)
 
     def test_half_flux_range_matches_dense_oracle(self):
@@ -187,18 +187,16 @@ class TestBlochBlocks:
         geom = torus(8, 8)
         fin = finite_lattice_spectrum(Fraction(1, 2),
                                       ModelParams(J=1.0, omega=0.0), geom)
-        ks = 2 * np.pi * np.arange(32) / 32
         res = bloch_block_spectrum(Fraction(1, 2), ModelParams(J=1.0, omega=0.0),
-                                   ks, ks)
+                                   32, 32)
         assert abs(res.eigenvalues.min() - fin.eigenvalues.min()) < 1e-10
         assert abs(res.eigenvalues.max() - fin.eigenvalues.max()) < 1e-10
         assert abs(res.eigenvalues.min() + 2.0) < 1e-10
         assert abs(res.eigenvalues.max() - 2.0) < 1e-10
 
     def test_large_omega_band_window(self):
-        ks = 2 * np.pi * np.arange(16) / 16
         res = bloch_block_spectrum(Fraction(1, 3), ModelParams(J=1.0, omega=10.0),
-                                   ks, ks)
+                                   16, 16)
         e = res.eigenvalues
         inside = ((e >= -12 - 1e-9) & (e <= -8 + 1e-9)) | \
                  ((e >= 8 - 1e-9) & (e <= 12 + 1e-9))
@@ -207,12 +205,11 @@ class TestBlochBlocks:
     def test_rejects_zero_denominator(self):
         # rational inputs normalize to lowest terms; q = 0 fails at parse time
         with pytest.raises(ZeroDivisionError):
-            bloch_block_spectrum(Fraction(1, 0), ModelParams(), [0], [0])
+            bloch_block_spectrum(Fraction(1, 0), ModelParams(), 1, 1)
 
     def test_bipartite_symmetry_at_zero_omega(self):
-        ks = 2 * np.pi * np.arange(12) / 12
         res = bloch_block_spectrum(Fraction(1, 3), ModelParams(J=1.0, omega=0.0),
-                                   ks, ks)
+                                   12, 12)
         e = np.sort(res.eigenvalues)
         np.testing.assert_allclose(e, -e[::-1], atol=1e-10)
 
@@ -280,6 +277,24 @@ class TestBlochFiniteEquivalence:
         fin = np.sort(finite_lattice_spectrum(alpha, params, geom).eigenvalues)
         blo = np.sort(commensurate_bloch_spectrum(alpha, params, geom).eigenvalues)
         assert fin.size == blo.size == 2 * Lx * Ly
+        assert np.max(np.abs(fin - blo)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 7), p_seed=st.integers(0, 100),
+           Lx=st.integers(1, 6), cells=st.integers(1, 3),
+           square=st.booleans(), omega=st.floats(0.0, 12.0),
+           J2=st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    def test_random_tori(self, q, p_seed, Lx, cells, square, omega, J2):
+        # square tori (Lx = Ly) also merge the transposed class pairs
+        ps = [p for p in range(q + 1) if math.gcd(p, q) == 1]
+        p = ps[p_seed % len(ps)]
+        Ly = q * cells
+        geom = torus(Ly if square else Lx, Ly)
+        params = ModelParams(J=1.0, omega=omega, J2=J2)
+        alpha = Fraction(p, q)
+        fin = np.sort(finite_lattice_spectrum(alpha, params, geom).eigenvalues)
+        blo = commensurate_bloch_spectrum(alpha, params, geom).eigenvalues
+        assert fin.size == blo.size == 2 * geom.n_sites
         assert np.max(np.abs(fin - blo)) < 1e-10
 
 
