@@ -382,7 +382,6 @@ def sector_eigenstates(
     labels = [(kx, ky) for kx in range(n_orbits) for ky in range(order_y)]
     a_of, c_of = np.zeros(dim, dtype=np.int32), np.zeros(dim, dtype=np.int32)
     ph_of, seen = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=bool)
-    n_fixed = np.zeros(reps.size)
     # a sector exists on an orbit iff its character matches the phase of
     # every group element that fixes the representative
     ok = np.ones((len(labels), reps.size), dtype=bool)
@@ -391,11 +390,10 @@ def sector_eigenstates(
         seen[img[new]] = True
         a_of[img[new]], c_of[img[new]], ph_of[img[new]] = a, c, ph[new]
         fixed = img == reps
-        n_fixed += fixed
         for n, (kx, ky) in enumerate(labels):
             ok[n] &= ~fixed | (np.abs(ph - character(kx, ky, a, c)) < 1e-8)
     del tx, y, y_phase, seen
-    length = order * order_y / n_fixed  # orbit sizes
+    length = np.bincount(orbit)  # orbit sizes
     # the image of each representative under the mirror M of both species
     site = np.arange(geom.n_sites)
     mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
@@ -519,7 +517,7 @@ def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 
 def check_purity_size(n: int):
-    """Fail if the n x n label Gram matrix that `purity` builds for n = 2^N
+    """Fail if the n x n label Gram matrix that `purity` sums for n = 2^N
     label patterns is above DENSE_BYTES; callable before F is built."""
     _check_dense(n, n, f"label Gram matrix of {n} patterns", "fewer bosons")
 
@@ -528,28 +526,29 @@ def purity(F: np.ndarray) -> float:
     """Tr(rho^2) of the motional density matrix whose factor F
     `motional_density_matrix` returns: ||G||_F^2, G = F^dag F averaged over
     the particle orderings, i.e. over the orbit of each pattern pair (s, t),
-    keyed by the b-label counts of s, t and s & t (G at most DENSE_BYTES)."""
+    keyed by the b-label counts of s, t and s & t (G at most DENSE_BYTES).
+    Pairs whose s differ in b count share no orbit, so G is summed one
+    b-count block of rows at a time and never formed whole."""
     n = F.shape[1]
     check_purity_size(n)
     s, base = np.arange(n), n.bit_length()  # base N + 1 > any b count
     b = np.array([bin(i).count("1") for i in range(n)])
-    key = (b[:, None] * base + b) * base + b[s[:, None] & s]
-    return _orbit_mean_norm2(F.conj().T @ F, key)
+    return sum(_orbit_mean_norm2(F[:, r].conj().T @ F,
+                                 b * base + b[r[:, None] & s])
+               for r in (np.flatnonzero(b == c) for c in range(base)))
 
 
 def c_mode_number(v: np.ndarray, basis: FockBasis) -> float:
     """Expectation in the Fock vector v of the total dark-mode number
     sum_site c^dag c with c = (a - b)/sqrt(2), in the gauge-transformed
-    frame."""
+    frame.  Per site c^dag c = (n_a + n_b - a^dag b - b^dag a) / 2, and
+    b^dag a is the adjoint of a^dag b, so the total is
+    (N/2) <v|v> - Re <v|A|v> with the one hop A = sum_site a^dag b."""
     ns = basis.M // 2
-    # one-body operator: 1/2 (n_a + n_b - a^dag b - b^dag a) per site
     a = np.arange(ns)
-    b = a + ns
-    op = sp.coo_matrix((np.repeat([0.5, 0.5, -0.5, -0.5], ns),
-                        (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
-                       shape=(basis.M, basis.M)).tocsr()
-    big = second_quantize(op, basis)
-    return float(np.real(np.vdot(v, big @ v)))
+    hop = sp.csr_matrix((np.ones(ns), (a, a + ns)), shape=(basis.M, basis.M))
+    A = second_quantize(hop, basis)
+    return float(basis.N / 2 * np.vdot(v, v).real - np.vdot(v, A @ v).real)
 
 
 def subspace_overlap(F: np.ndarray, states) -> float:

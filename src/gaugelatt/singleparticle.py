@@ -127,30 +127,23 @@ def cd_rotation(n_sites: int) -> sp.csr_matrix:
 
     Columns are the new modes: U[:, c_i] etc., so H_cd = U^dag H U.
     Mode layout: c modes occupy [0, n), d modes [n, 2n)."""
-    n = n_sites
     s = 1.0 / math.sqrt(2.0)
-    eye = sp.identity(n, format="csr")
-    top = sp.hstack([s * eye, s * eye])      # a rows
-    bot = sp.hstack([-s * eye, s * eye])     # b rows
-    return sp.vstack([top, bot]).tocsr()
+    return sp.kron([[s, s], [-s, s]], sp.identity(n_sites), format="csr")
 
 
 def cd_decompose(H_s: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Rotate the bilayer matrix into the c/d basis and split it into the
-    block-diagonal part H0 and the band-mixing off-diagonal part H1."""
+    block-diagonal part H0 (row and column in the same half) and the
+    band-mixing off-diagonal part H1 = U^dag H U - H0."""
     dim = H_s.shape[0]
     if dim % 2 != 0 or H_s.shape[0] != H_s.shape[1]:
         raise ValueError("expected a square matrix over an even mode count")
-    n = dim // 2
-    U = cd_rotation(n)
-    H_cd = (U.conj().T @ H_s @ U).tocsr()
-    cc = H_cd[:n, :n]
-    dd = H_cd[n:, n:]
-    cd = H_cd[:n, n:]
-    dc = H_cd[n:, :n]
-    H0 = sp.bmat([[cc, None], [None, dd]], format="csr")
-    H1 = sp.bmat([[None, cd], [dc, None]], format="csr")
-    return H0, H1
+    U = cd_rotation(dim // 2)
+    H_cd = (U.conj().T @ H_s @ U).tocoo()
+    same = (H_cd.row < dim // 2) == (H_cd.col < dim // 2)
+    H0 = sp.csr_matrix((H_cd.data[same], (H_cd.row[same], H_cd.col[same])),
+                       shape=H_cd.shape)
+    return H0, (H_cd - H0).tocsr()
 
 
 def bloch_block(alpha_p: int, alpha_q: int, params: ModelParams,
@@ -249,6 +242,9 @@ def bloch_block_spectrum(alpha: Fraction, params: ModelParams,
     transpose, -E for their images.  The blocks are diagonalized in chunks
     of at most BLOCK_BYTES.
     """
+    if nx < 1 or ny < 1:
+        raise ValueError(f"need a k grid of at least 1 x 1 points, "
+                         f"got {nx} x {ny}")
     alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     same = nx == ny

@@ -88,24 +88,19 @@ def raman_parity_integral(g: TiltGeometry, sigma_x: float, sigma_z: float,
     """|int E_+ E_pi W_+ W_- dx dz| around one site with Gaussian Wannier
     orbitals of widths (sigma_x, sigma_z).
 
-    For orbitals centered exactly on the site the integrand is odd in both
-    directions and the integral vanishes; `center_offset` displaces the
-    orbital center to probe that cancellation.
+    In closed form: E_+ E_pi = (sqrt2 / 8) sin(2 eta) sin(bx x) sin(bz z)
+    with (bx, bz) = 2k (cos eta, sin eta), and a Gaussian of width sigma
+    centred on x0 maps sin(b x) to sqrt(2 pi) sigma sin(b x0)
+    exp(-b^2 sigma^2 / 2).  For orbitals centered exactly on the site the
+    phases b x0 and b z0 are multiples of 2 pi and the integral vanishes;
+    `center_offset` displaces the orbital center to probe that cancellation.
     """
-    from scipy.integrate import dblquad  # slow to import; only needed here
-
-    e_plus, e_pi = field_profiles(g)
-    a = lattice_spacing(g)
-    x0 = site[0] * a + center_offset[0]
-    z0 = site[1] * (math.pi / (g.k * math.sin(g.eta))) + center_offset[1]
-
-    def integrand(z, x):
-        w2 = math.exp(-(x - x0) ** 2 / (2 * sigma_x ** 2)
-                      - (z - z0) ** 2 / (2 * sigma_z ** 2))
-        return e_plus(x, z) * e_pi(x, z) * w2
-
-    span_x, span_z = 6.0 * sigma_x, 6.0 * sigma_z
-    val, _ = dblquad(integrand, x0 - span_x, x0 + span_x,
-                     lambda x: z0 - span_z, lambda x: z0 + span_z,
-                     epsabs=1e-13, epsrel=1e-11)
+    k, eta = g.k, g.eta
+    x0 = site[0] * lattice_spacing(g) + center_offset[0]
+    z0 = site[1] * (math.pi / (k * math.sin(eta))) + center_offset[1]
+    val = math.sqrt(2.0) / 8.0 * math.sin(2.0 * eta)
+    for b, sigma, c in ((2 * k * math.cos(eta), sigma_x, x0),
+                        (2 * k * math.sin(eta), sigma_z, z0)):
+        val *= (math.sqrt(2.0 * math.pi) * sigma * math.sin(b * c)
+                * math.exp(-(b * sigma) ** 2 / 2.0))
     return abs(val)

@@ -627,9 +627,9 @@ class TestDiagnostics:
         assert abs(got - permutation_averaged_purity(F)) <= 1e-12
 
     def test_purity_builds_no_gathered_copy_of_the_gram_matrix(self):
-        # N = 8: the 256 x 256 Gram matrix takes 1 MiB, its int64 orbit key
-        # and the real part that bincount reads 0.5 MiB each; the orbit
-        # means gathered back to the Gram matrix's shape would add 1 MiB
+        # N = 8: the 256 x 256 Gram matrix takes 1 MiB.  Pairs whose s
+        # differ in b count share no orbit, so it is summed one b-count
+        # block of rows at a time and the peak stays below its own bytes
         rng = np.random.default_rng(7)
         F = rng.normal(size=(9, 256)) + 1j * rng.normal(size=(9, 256))
         F /= np.linalg.norm(F)
@@ -639,7 +639,7 @@ class TestDiagnostics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * 2 ** 20
+        assert peak < 16 * 256 * 256
         b = np.array([bin(i).count("1") for i in range(256)])
         s = np.arange(256)
         key = (b[:, None] * 9 + b) * 9 + b[s[:, None] & s]
@@ -688,6 +688,42 @@ class TestDiagnostics:
                 amps[basis.index(key)] += 0.5 * w1 * w2
         amps /= np.linalg.norm(amps)
         assert c_mode_number(amps, basis) == pytest.approx(2.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(3, 2), (4, 3), (2, 4), (3, 5), (1, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.1, 10.0))
+    def test_c_mode_number_matches_the_projector_and_the_factor(
+            self, shape, seed, scale):
+        # references: the four-term per-site projector
+        # (n_a + n_b - a^dag b - b^dag a) / 2 on the whole Fock space, and,
+        # for a normalized v, N/2 - 1/2 sum_p Re <F, F X_p> from the factor
+        # F, X_p flipping the label of particle p
+        ns, N = shape
+        basis = build_fock_basis(2 * ns, N)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        v *= scale / np.linalg.norm(v)
+        a, b = np.arange(ns), np.arange(ns) + ns
+        projector = sp.coo_matrix(
+            (np.repeat([0.5, 0.5, -0.5, -0.5], ns),
+             (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+            shape=(basis.M, basis.M))
+        want = np.vdot(v, second_quantize(projector, basis) @ v).real
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return second_quantize(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(manybody, "second_quantize", counted)
+            got = c_mode_number(v, basis)
+        assert len(calls) == 1
+        assert abs(got - want) <= 1e-12 * abs(want)
+        u = v / scale
+        F, s = motional_density_matrix(u, basis), np.arange(2 ** N)
+        flips = sum(np.vdot(F, F[:, s ^ (1 << p)]).real for p in range(N))
+        assert abs(c_mode_number(u, basis) - (N / 2 - flips / 2)) <= 1e-12 * N
 
     def test_reference_instance_values(self):
         geom, links, params = reference_setup()

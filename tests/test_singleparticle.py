@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugelatt import singleparticle
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                PhasePattern, links_from_phases,
                                uniform_phase_pattern)
@@ -206,6 +207,15 @@ class TestBlochBlocks:
         # rational inputs normalize to lowest terms; q = 0 fails at parse time
         with pytest.raises(ZeroDivisionError):
             bloch_block_spectrum(Fraction(1, 0), ModelParams(), 1, 1)
+
+    @pytest.mark.parametrize("nx, ny", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_an_empty_k_grid(self, nx, ny, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a Bloch block was built")
+
+        monkeypatch.setattr(singleparticle, "bloch_block", no_block)
+        with pytest.raises(ValueError, match=rf"got {nx} x {ny}$"):
+            bloch_block_spectrum(Fraction(1, 3), ModelParams(), nx, ny)
 
     def test_bipartite_symmetry_at_zero_omega(self):
         res = bloch_block_spectrum(Fraction(1, 3), ModelParams(J=1.0, omega=0.0),
