@@ -116,16 +116,27 @@ def cmd_ground(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # these flags default to None, so that one that would do nothing shows
+    given = [f"--{name}" for name in ("pattern", "alpha", "lx", "ly")
+             if getattr(args, name) is not None]
+    if args.pattern_file and given:
+        raise ValueError("--pattern-file sets the lattice and the pattern: "
+                         f"drop {', '.join(given)}")
+    if args.pattern == "checkerboard" and args.alpha is not None:
+        raise ValueError("--alpha sets the flux of the uniform pattern only")
     if args.pattern_file:
         pat, geom = lattice.PhasePattern.from_json(Path(args.pattern_file).read_text())
     else:
-        geom = LatticeGeometry(args.lx, args.ly, boundary=Boundary.OPEN)
-        if args.pattern == "uniform":
-            pat = lattice.uniform_phase_pattern(args.alpha, geom)
-        else:  # "checkerboard", the only other choice
+        geom = LatticeGeometry(16 if args.lx is None else args.lx,
+                               16 if args.ly is None else args.ly,
+                               boundary=Boundary.OPEN)
+        if args.pattern == "checkerboard":
             j = np.arange(geom.Lx)[:, None]
             k = np.arange(geom.Ly)[None, :]
             pat = lattice.PhasePattern(phi=np.pi * ((j + k) % 2))
+        else:  # "uniform", the default
+            pat = lattice.uniform_phase_pattern(
+                Fraction(1, 16) if args.alpha is None else args.alpha, geom)
     wm = beamsynth.WannierModel(sigma_a=beamsynth.wannier_width(args.depth_a),
                                 sigma_b=beamsynth.wannier_width(args.depth_b))
     mf = beamsynth.ModeFunction(w=args.waist)
@@ -166,8 +177,10 @@ def cmd_design(args) -> int:
 
 def cmd_flux(args) -> int:
     pat, geom = lattice.PhasePattern.from_json(Path(args.pattern_file).read_text())
-    alpha = args.alpha if geom.is_torus else None
-    links = lattice.links_from_phases(pat, geom, alpha=alpha)
+    if args.alpha is not None and not geom.is_torus:
+        raise ValueError("--alpha sets the wrap links of a torus pattern; "
+                         "an open pattern has none")
+    links = lattice.links_from_phases(pat, geom, alpha=args.alpha)
     flux = lattice.plaquette_flux(links, geom)
     j, k = np.indices(flux.shape)
     sys.stdout.write("".join(map("{},{},{:.12g}\n".format, j.ravel().tolist(),
@@ -206,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("synth", help="solve the beam-array inverse problem")
-    p.add_argument("--pattern", default="uniform",
-                   choices=["uniform", "checkerboard"])
+    p.add_argument("--pattern", choices=["uniform", "checkerboard"],
+                   help="default uniform")
     p.add_argument("--pattern-file", default=None,
-                   help="phase-pattern JSON (overrides --pattern)")
-    p.add_argument("--alpha", type=_parse_alpha, default=Fraction(1, 16))
-    p.add_argument("--lx", type=int, default=16)
-    p.add_argument("--ly", type=int, default=16)
+                   help="phase-pattern JSON; sets the lattice and the pattern")
+    p.add_argument("--alpha", type=_parse_alpha, help="default 1/16")
+    p.add_argument("--lx", type=int, help="default 16")
+    p.add_argument("--ly", type=int, help="default 16")
     p.add_argument("--waist", type=float, default=0.5,
                    help="beam waist in units of the lattice spacing")
     p.add_argument("--depth-a", type=float, default=5.0)

@@ -52,27 +52,24 @@ class FockBasis:
         return self.modes.shape[0]
 
     def index(self, modes) -> np.ndarray:
-        """Positions of the rows m of `modes` (each nondecreasing, as in
-        `self.modes`): size - 1 - sum_p C(M - m_p + N - 2 - p, N - p), the
-        p-th term counting the states that first exceed m at slot p."""
-        modes, T = np.asarray(modes), self._above
-        if modes.shape[-1:] != (self.N,) or modes.max(initial=0) >= self.M:
-            raise ValueError("mode list is not a sorted state of this basis")
-        pos, prev = np.full(modes.shape[:-1], self.size - 1, dtype=np.int64), 0
+        """Positions of the states whose mode lists are the rows of `modes`,
+        each row a multiset of modes in any order: with m the sorted row,
+        size - 1 - sum_p C(M - m_p + N - 2 - p, N - p), the p-th term
+        counting the states that first exceed m at slot p."""
+        modes, T = np.sort(modes, axis=-1), self._above
+        if (modes.shape[-1:] != (self.N,) or modes.max(initial=0) >= self.M
+                or modes.min(initial=0) < 0):
+            raise ValueError("mode list is not a state of this basis")
+        pos = np.full(modes.shape[:-1], self.size - 1, dtype=np.int64)
         for p in range(self.N):
-            cur = modes[..., p]
-            if not (prev <= cur).all():
-                raise ValueError(
-                    "mode list is not a sorted state of this basis")
-            pos -= T[p].take(cur)
-            prev = cur
+            pos -= T[p].take(modes[..., p])
         return pos
 
     def permute(self, perm) -> np.ndarray:
         """Position of each state after the mode relabelling m -> perm[m]:
         state i goes to position permute(perm)[i], so a vector v becomes
         w with w[permute(perm)] = v."""
-        return self.index(np.sort(np.asarray(perm)[self.modes], axis=1))
+        return self.index(np.asarray(perm)[self.modes])
 
     def arrangements(self) -> np.ndarray:
         """N! / prod_m n_m! per state: the number of distinct orderings of
@@ -108,53 +105,38 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
     columns of the basis states `sources` (an index array; all states by
     default): the (basis.size, len(sources)) matrix H[:, sources].
 
-    Matrix elements pick up the bosonic factors sqrt(n_src (n_dst + 1)).
+    Every stored entry t_rm, the diagonal included, is a hop m -> r with
+    amplitude t_rm sqrt(n_m n'_r), n'_r the occupation of r after the move
+    (t_mm n_m for r = m); duplicate entries add up.
     """
     ob = sp.csc_matrix(one_body)
     if ob.shape != (basis.M, basis.M):
         raise ValueError("one-body matrix dimension does not match mode count")
     sources = np.arange(basis.size) if sources is None else np.asarray(sources)
     modes, N, n = basis.modes[sources], basis.N, sources.size
-    col_of = np.repeat(np.arange(basis.M), np.diff(ob.indptr))
-    on_diag = ob.indices == col_of
-    t_diag = np.zeros(basis.M, dtype=ob.dtype)
-    t_diag[col_of[on_diag]] = ob.data[on_diag]
-    has_diag = np.zeros(basis.M, dtype=bool)
-    has_diag[col_of[on_diag]] = True
-    # off-diagonal entries of the one-body matrix, grouped by column
-    off_ptr = np.concatenate([[0], np.cumsum(np.bincount(col_of[~on_diag],
-                                                         minlength=basis.M))])
-    off_row = ob.indices[~on_diag].astype(np.int32)
-    off_val = ob.data[~on_diag]
-
-    diag = np.zeros(n, dtype=complex)
-    rows_out, cols_out, vals_out = [], [], []
+    empty = np.zeros(0, dtype=np.int64)  # N = 0 lifts to H = 0
+    rows_out, cols_out, vals_out = [empty], [empty], [empty]
     for p in range(N):
         m = modes[:, p]
-        diag += t_diag[m]
         # hop each occupied mode once: from the first slot of its run
         first = (m != modes[:, p - 1]) if p else np.ones(n, dtype=bool)
         n_m = np.sum(modes == m[:, None], axis=1)
         src = np.flatnonzero(first).astype(np.int32)
-        cnt = np.diff(off_ptr)[m[src]]
-        k = _ragged_arange(off_ptr[m[src]], cnt)
+        # every stored entry t_rm of column m, the diagonal included
+        cnt = np.diff(ob.indptr)[m[src]]
+        k = _ragged_arange(ob.indptr[m[src]], cnt)
         src = np.repeat(src, cnt)
-        r = off_row[k]
-        new = modes[src]
-        n_r = np.sum(new == r[:, None], axis=1)
-        amp = off_val[k] * np.sqrt(n_m[src] * (n_r + 1.0))
+        r, new = ob.indices[k], modes[src]
         new[:, p] = r
-        new.sort(axis=1)
+        n_r = np.sum(new == r[:, None], axis=1)  # after the move
         rows_out.append(basis.index(new))
         cols_out.append(src)
-        vals_out.append(amp)
-    occupied_diag = np.flatnonzero(has_diag[modes].any(axis=1))
-    rows_out.append(sources[occupied_diag])
-    cols_out.append(occupied_diag)
-    vals_out.append(diag[occupied_diag])
+        vals_out.append(ob.data[k] * np.sqrt(n_m[src] * n_r))
+    # summed column by column, so that each column adds its terms in the
+    # same order whatever the other sources
     H = sp.coo_matrix((np.concatenate(vals_out),
                        (np.concatenate(rows_out), np.concatenate(cols_out))),
-                      shape=(basis.size, n), dtype=complex)
+                      shape=(basis.size, n), dtype=complex).tocsc()
     return H.tocsr()
 
 
@@ -398,7 +380,7 @@ def sector_eigenstates(
     site = np.arange(geom.n_sites)
     mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
     mx = np.concatenate([mx, mx + geom.n_sites])
-    mirror = basis.index(np.sort(mx[basis.modes[reps]], axis=1))
+    mirror = basis.index(mx[basis.modes[reps]])
 
     # H[reps] = H[:, reps]^dag, as H is Hermitian; its largest absolute
     # row sum is ||H||_inf
@@ -510,8 +492,7 @@ def motional_density_matrix(v: np.ndarray, basis: FockBasis) -> np.ndarray:
     amp = v / np.sqrt(basis.arrangements())  # first-quantized amplitudes
     F = np.empty((motion.size, 2 ** N), dtype=complex)
     for s, label in enumerate(np.ndindex((2,) * N)):
-        F[:, s] = amp[basis.index(np.sort(motion.modes + ns * np.array(label),
-                                          axis=1))]
+        F[:, s] = amp[basis.index(motion.modes + ns * np.array(label))]
     F *= np.sqrt(motion.arrangements())[:, None]
     return F
 

@@ -328,6 +328,34 @@ class TestSynth:
         assert rc == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["--pattern-file", "PATTERN", "--lx", "40", "--ly", "40", "--alpha",
+          "1/7", "--pattern", "checkerboard"],
+         "drop --pattern, --alpha, --lx, --ly"),
+        (["--pattern-file", "PATTERN", "--pattern", "uniform"],
+         "drop --pattern"),
+        (["--pattern", "checkerboard", "--alpha", "1/7"],
+         "flux of the uniform pattern only"),
+    ], ids=["pattern-file-and-lattice", "pattern-file-and-default",
+            "checkerboard-and-alpha"])
+    def test_flags_that_would_do_nothing_fail_cleanly(self, tmp_path, capsys,
+                                                      argv, problem):
+        geom = LatticeGeometry(6, 6)
+        pfile = tmp_path / "pattern.json"
+        pfile.write_text(uniform_phase_pattern(Fraction(1, 6), geom)
+                         .to_json(geom))
+        out = tmp_path / "beams.csv"
+        argv = [str(pfile) if a == "PATTERN" else a for a in argv]
+        rc, stdout, stderr = run(["synth", *argv, "--output", str(out)],
+                                 capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        err = json.loads(stderr)
+        assert err["command"] == "synth"
+        assert problem in err["error"]
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["synth", "--pattern", "checkerboard", "--lx", "6", "--ly", "6"]
@@ -441,6 +469,22 @@ class TestFlux:
         assert len(vals) == 16
         expect = (-0.25) % 1.0
         np.testing.assert_allclose(vals, expect, atol=1e-12)
+
+    def test_alpha_on_open_pattern_fails_cleanly(self, tmp_path, capsys):
+        geom = LatticeGeometry(3, 3)
+        pfile = tmp_path / "pattern.json"
+        pfile.write_text(uniform_phase_pattern(Fraction(1, 3), geom)
+                         .to_json(geom))
+        rc, stdout, _ = run(["flux", str(pfile)], capsys)
+        assert rc == 0 and len(stdout.splitlines()) == 4
+        rc, stdout, stderr = run(["flux", str(pfile), "--alpha", "1/3"],
+                                 capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        err = json.loads(stderr)
+        assert err["command"] == "flux"
+        assert "open pattern" in err["error"]
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         rc, _, stderr = run(["flux", str(tmp_path / "nope.json")], capsys)

@@ -193,14 +193,23 @@ def random_state(basis, seed):
 
 @st.composite
 def sparse_hermitian(draw):
+    """A + A^dag as a CSR matrix, for a random sparse A.  Sometimes it is
+    stored non-canonically, the entries of A and of A^dag side by side in
+    each row, so that an entry, the diagonal included, may be stored as two
+    parts.  Two parts add up to the same bits in either order, so the lifted
+    off-diagonal entries stay bit-identical to the reference loop."""
     M = draw(st.integers(1, 6))
     density = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
     A[rng.random((M, M)) > density] = 0.0
-    A = A + A.conj().T
-    return sp.csr_matrix(A)
+    if draw(st.booleans()):
+        both = sp.hstack([sp.csr_matrix(A), sp.csr_matrix(A.conj().T)],
+                         format="csr")
+        return sp.csr_matrix((both.data, both.indices % M, both.indptr),
+                             shape=(M, M))
+    return sp.csr_matrix(A + A.conj().T)
 
 
 # -------------------------------------------------------------------- basis
@@ -219,11 +228,19 @@ class TestBasis:
         np.testing.assert_array_equal(basis.index(rows),
                                       np.arange(basis.size)[::-1])
 
-    @pytest.mark.parametrize("row", [[1, 0], [0, 6], [-1, 2], [7, 1], [0],
+    @pytest.mark.parametrize("row", [[0, 6], [-1, 2], [7, 1], [0],
                                      [0, 1, 2]])
     def test_index_rejects_non_states(self, row):
-        with pytest.raises(ValueError, match="not a sorted state"):
+        with pytest.raises(ValueError, match="not a state of this basis"):
             build_fock_basis(6, 2).index(row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 6), N=st.integers(0, 4), data=st.data())
+    def test_index_ranks_rows_in_any_order(self, M, N, data):
+        basis = build_fock_basis(M, N)
+        order = data.draw(st.permutations(range(N)))
+        np.testing.assert_array_equal(basis.index(basis.modes[:, order]),
+                                      np.arange(basis.size))
 
     def test_arrangements(self):
         basis = build_fock_basis(3, 3)
@@ -238,30 +255,43 @@ class TestBasis:
 
 # --------------------------------------------------------- second quantization
 
-def assert_same_csr(new, ref, N):
-    """Same pattern and bit-identical values, except that for N >= 3 a
-    diagonal entry may differ in its last digits: the loop adds n_m t_mm per
-    occupied mode in set iteration order, the array code adds t_mm once per
-    particle."""
+def assert_same_csr(new, ref, terms):
+    """Same pattern and bit-identical values, except that a diagonal entry
+    that sums more than two terms (n_m t_mm for each stored part of t_mm of
+    each occupied mode) may differ in its last digits: the loop and the
+    array code add those terms in different orders."""
     np.testing.assert_array_equal(new.indptr, ref.indptr)
     np.testing.assert_array_equal(new.indices, ref.indices)
     rows = np.repeat(np.arange(new.shape[0]), np.diff(new.indptr))
     off = rows != new.indices
     np.testing.assert_array_equal(new.data[off], ref.data[off])
-    if N <= 2:
+    if terms <= 2:
         np.testing.assert_array_equal(new.data, ref.data)
     else:
-        scale = max(1.0, np.abs(ref.data).max(initial=0.0))
-        np.testing.assert_allclose(new.data[~off], ref.data[~off], rtol=0,
-                                   atol=8 * N * np.finfo(float).eps * scale)
+        tol = 8 * terms * np.finfo(float).eps
+        np.testing.assert_allclose(
+            new.data[~off], ref.data[~off], rtol=0,
+            atol=tol * max(1.0, np.abs(ref.data).max(initial=0.0)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(one_body=sparse_hermitian(), N=st.integers(1, 4))
+@given(one_body=sparse_hermitian(), N=st.integers(0, 4))
 def test_second_quantize_matches_loop(one_body, N):
     M = one_body.shape[0]
     new = second_quantize(one_body, build_fock_basis(M, N))
-    assert_same_csr(new, reference_second_quantize(one_body, M, N), N)
+    parts = 1 if one_body.has_canonical_format else 2
+    assert_same_csr(new, reference_second_quantize(one_body, M, N),
+                    parts * N)
+
+
+@pytest.mark.parametrize("N, diagonal", [(1, [3, 5]), (2, [6, 8, 10])])
+def test_second_quantize_adds_duplicate_entries(N, diagonal):
+    # (0, 0) is stored twice, as 1 and as 2, beside (1, 1) = 5
+    one_body = sp.csr_matrix(([1.0, 2.0, 5.0], [0, 0, 1], [0, 2, 3]),
+                             shape=(2, 2))
+    assert not one_body.has_canonical_format
+    H = second_quantize(one_body, build_fock_basis(2, N))
+    np.testing.assert_array_equal(H.toarray(), np.diag(diagonal))
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,7 +303,7 @@ def test_second_quantize_lifts_any_columns(one_body, N, data):
         st.integers(0, basis.size - 1), max_size=basis.size))), dtype=int)
     got = second_quantize(one_body, basis, idx)
     assert got.shape == (basis.size, idx.size)
-    assert_same_csr(got, full[:, idx], N=1)  # bit-identical
+    assert_same_csr(got, full[:, idx], terms=1)  # bit-identical
     # H is Hermitian: its largest absolute column sum is ||H||_inf
     assert (abs(full).sum(axis=0).max()
             == pytest.approx(spla.norm(full, ord=np.inf), rel=1e-15))
@@ -294,7 +324,7 @@ def test_hamiltonian_matches_loop(N):
            + sp.diags(reference_interaction(M, N, params.U))).tocsr()
     # no one-body diagonal, so every entry is bit-identical for every N
     assert one_body.diagonal().tolist() == [0] * M
-    assert_same_csr(H, ref, N=1)
+    assert_same_csr(H, ref, terms=1)
 
 
 # ------------------------------------------------------ first-quantized form
