@@ -1,5 +1,6 @@
-"""Lattice geometry, site phase patterns, link phases, plaquette fluxes and
-the x and y magnetic translations of the torus.
+"""Lattice geometry, site phase patterns, link phases, plaquette fluxes,
+the x and y magnetic translations of the torus and, on a square torus, its
+quarter turn with the species swap.
 
 Conventions: lengths are in units of the lattice spacing, and phases are
 stored in radians, canonicalized to [0, 2pi).
@@ -265,3 +266,31 @@ def magnetic_translation_y(geom: LatticeGeometry, alpha: Fraction,
     j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
     k_new = (k + steps) % geom.Ly
     return j * geom.Ly + k_new, TWO_PI * float(alpha) * j * (k_new - k)
+
+
+def rotation_with_swap(geom: LatticeGeometry,
+                       alpha: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """The quarter turn (j,k) -> (-k mod L, j) of a square L x L torus
+    with the species swap a <-> b, as the mode permutation m -> perm[m]
+    over both species (a on modes [0, ns), b on [ns, 2 ns)) and the gauge
+    phase phase[m] that a particle leaving mode m picks up.
+
+    The turn takes x bonds onto y bonds, so with the swap the x hops of a
+    become the y hops of b and back.  The Landau-gauge phases then match
+    up to the gauge transformation -2*pi*alpha*j*k of site (j,k), the same
+    for both species, so the on-site a-b coupling keeps its phase.  It
+    conjugates the x magnetic translation by s sites onto the y one by s
+    sites, and that one onto the x one by -s, phases included.
+    """
+    if geom.Lx != geom.Ly:
+        raise ValueError(
+            f"a quarter turn needs a square torus, got {geom.Lx}x{geom.Ly}")
+    alpha = Fraction(alpha)
+    if (alpha * geom.n_sites).denominator != 1:
+        raise ValueError(
+            f"alpha*Lx*Ly = {alpha * geom.n_sites} must be an integer")
+    ns = geom.n_sites
+    j, k = np.divmod(np.arange(ns), geom.Ly)
+    site = (-k % geom.Lx) * geom.Ly + j
+    phase = -TWO_PI * float(alpha) * j * k
+    return np.concatenate([site + ns, site]), np.concatenate([phase, phase])

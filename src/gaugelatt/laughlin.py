@@ -87,19 +87,23 @@ def laughlin_lattice_states(N: int, alpha: Fraction,
     j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
     zs = (j + 1j * k)[basis.modes]
     ys = k[basis.modes]
-    # one particle pair at a time: no (size, N(N-1)/2) temporaries
+    # the theta factors depend on a row only through a pair separation or
+    # the sum of its positions, which take few distinct values: evaluate
+    # them once per value.  One particle pair at a time: no
+    # (size, N(N-1)/2) temporaries
     relative = 1.0
     for p, q in zip(*np.triu_indices(N, 1)):
-        relative = relative * theta1(math.pi * (zs[:, p] - zs[:, q]) / L1,
-                                     tau) ** m
+        sep, at = np.unique(zs[:, p] - zs[:, q], return_inverse=True)
+        relative = relative * (theta1(math.pi * sep / L1, tau) ** m)[at]
     gauss = np.exp(-np.sum(ys ** 2, axis=1) / (2.0 * ell2))
     # bosonic normalization sqrt(N! / prod n_x!)
     weight = relative * gauss * np.sqrt(basis.arrangements())
+    com, at = np.unique(zs.sum(axis=1), return_inverse=True)
 
     vectors = []
     for s in range(2):
         amps = np.conj(theta_with_characteristics(
-            m * math.pi * zs.sum(axis=1) / L1, m * tau, _COM_A[s], _COM_B)
+            m * math.pi * com / L1, m * tau, _COM_A[s], _COM_B)[at]
             * weight)
         amps /= np.linalg.norm(amps)
         vectors.append(amps)

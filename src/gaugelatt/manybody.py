@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import (LatticeGeometry, LinkField, magnetic_translation_x,
-                      magnetic_translation_y)
+                      magnetic_translation_y, rotation_with_swap)
 from .singleparticle import ModelParams, build_bilayer_hamiltonian
 
 DIM_CAP = 20_000_000
@@ -225,12 +225,18 @@ def lowest_eigenstates(H: sp.csr_matrix,
     return E, np.linalg.qr(V)[0]
 
 
-def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
-    """A site map with a phase per site, applied to both species, as
-    (image, factor): basis state i goes to factor[i] times state image[i]."""
+def _both_species(perm: np.ndarray, phase: np.ndarray):
+    """A site map with a phase per site as the same mode map on both
+    species, (perm, phase) over the 2 ns modes."""
     ns = len(perm)
-    return (basis.permute(np.concatenate([perm, perm + ns])).astype(np.int32),
-            np.exp(1j * np.concatenate([phase, phase])[basis.modes].sum(axis=1)))
+    return np.concatenate([perm, perm + ns]), np.concatenate([phase, phase])
+
+
+def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
+    """A mode map m -> perm[m] with a phase per mode, as (image, factor):
+    basis state i goes to factor[i] times state image[i]."""
+    return (basis.permute(perm).astype(np.int32),
+            np.exp(1j * np.asarray(phase)[basis.modes].sum(axis=1)))
 
 
 def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
@@ -266,6 +272,30 @@ def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
     return E, U @ W_r
 
 
+def _turned_eigenvectors(P, block, P_t, block_t, rot, m: int,
+                         W: np.ndarray, E: np.ndarray, norm: float):
+    """The eigenvectors, in the orbit basis of the projector P_t, that the
+    Fock map rot = (image, factor) gives from the eigenpairs (E, W) of the
+    block of P, a block of the same size; block(R) = H_b R and block_t
+    likewise.  With S the map and Q = P_t^dag S P, they are sqrt(m) Q W,
+    orthonormalized.
+    None unless Q H_b = H_t Q to 1e-12 max(||H||_inf, 1) and
+    Q^dag Q = 1/m to 1e-12: then Q sqrt(m) is unitary and takes the whole
+    spectrum of one block onto the other's."""
+    image, factor = rot
+    P = P.tocoo()
+    Q = P_t.conj().T @ sp.csr_matrix(
+        (factor[P.row] * P.data, (image[P.row], P.col)), shape=P.shape)
+    Qh = Q.conj().T.tocsr()
+    if (abs(Qh @ Q - sp.identity(Q.shape[1]) / m).max() > 1e-12
+            or (abs(block(Qh).conj().T - block_t(Q)).max()
+                > 1e-12 * max(norm, 1.0))):
+        return None
+    W_t = np.linalg.qr(np.sqrt(m) * (Q @ W))[0]
+    _check_residual(block_t(W_t) - W_t * E, norm)
+    return W_t
+
+
 def sector_eigenstates(
     columns, basis: FockBasis, geom: LatticeGeometry,
     alpha: Fraction, count: int,
@@ -299,14 +329,28 @@ def sector_eigenstates(
     U^dag H_b U is real symmetric and is solved by real Lanczos.  A block
     that fails those checks, and every other block, is solved complex.
 
-    E is ascending, ties in (kx, ky) order; V is (dim, count) with
+    On a square torus R, the quarter turn (j, k) -> (-k, j) with the
+    species swap a <-> b (`rotation_with_swap`), takes T_x to T_y and T_y
+    to T_x^-1, so it maps the sector (kx, ky) into the T_y multiplet of
+    (-ky, kx), 1/m of its weight on each member.  When that is another
+    label, only the first of the two is solved.  R acts on the basis as a
+    phase permutation S, and Q = P_t^dag S P takes the solved block to
+    its partner's orbit basis.  R is used only if Q H_b = H_t Q to
+    1e-12 max(||H||_inf, 1) and Q^dag Q = 1/m to 1e-12; then sqrt(m) Q is
+    unitary, the partner has the same levels, and its vectors are
+    sqrt(m) Q W, orthonormalized and held to the residual bound below.  A
+    failed check, or a non-square torus, solves the partner as well.
+
+    E is ascending, ties in (kx, ky) order (R's copies carry the solved
+    block's floats, so they tie with it); V is (dim, count) with
     orthonormal columns, at most DENSE_BYTES; sectors[i] = (kx, ky) of
-    column i.  Every level comes back m times, as T_y images in m sectors;
-    if count ends inside such a multiplet, a RuntimeWarning names the
-    sectors left out.  Each pair has residual at most
-    1e-9 * max(||H||_inf, 1) in the full space.  That is checked on the
-    block: P (below) is an isometry onto an H-invariant subspace and the
-    real frame U is unitary, so the block residual is the full-space one.
+    column i.  Every level comes back m times, as T_y images in m sectors,
+    and 2m times when R pairs its block; if count ends inside such a
+    multiplet, a RuntimeWarning names the sectors left out.  Each pair has
+    residual at most 1e-9 * max(||H||_inf, 1) in the full space.  That is
+    checked on the block: P (below) is an isometry onto an H-invariant
+    subspace and the real frame U is unitary, so the block residual is the
+    full-space one.
     ||H||_inf is read exactly from the representative columns: every
     translation permutes basis states with unit phases, so a column's
     absolute sum is constant on its orbit.
@@ -316,7 +360,8 @@ def sector_eigenstates(
     its block is solved, and again at the lift for the sectors that hold a
     returned vector; across blocks only the block eigenvectors W are kept.
     The full-basis images of T_x and Y live only through the orbit walk,
-    and T_y is built at the lift.
+    R's from the first pair it is tried on to the end of the solves, and
+    T_y is built at the lift.
     """
     dim = basis.size
     if not 1 <= count <= dim:
@@ -337,7 +382,8 @@ def sector_eigenstates(
     x_perm = magnetic_translation_x(geom, alpha, s)
     tx = basis.permute(np.concatenate([x_perm, x_perm + geom.n_sites]))
     tx = tx.astype(np.int32)
-    y, y_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b * m))
+    y, y_phase = _fock_map(basis, *_both_species(
+        *magnetic_translation_y(geom, alpha, b * m)))
 
     def walk(start, ph_c=None):
         # T_x^a Y^c on the states `start`, for every (a, c): (a, c, image,
@@ -398,47 +444,72 @@ def sector_eigenstates(
              / np.sqrt(length[orbit[rows]]),
              (rows, column[orbit[rows]])), shape=(dim, int(ok[n].sum())))
 
-    # since H commutes with the group, P^dag H P = diag(sqrt L) H[reps] P
-    Ws, E_all, label_all, src = [], [], [], []
+    def sector(n):
+        # the projector P of the sector labels[n] and its block map: since
+        # H commutes with the group, H_b right = P^dag H P right =
+        # diag(sqrt L) H[reps[kept]] P right, the rows picked last; no H_b
+        # is kept
+        kept = np.flatnonzero(ok[n])
+        P = projector(n)
+        scale = sp.csr_matrix((np.sqrt(length[kept]),
+                               (np.arange(kept.size), kept)),
+                              shape=(kept.size, reps.size))
+        return P, lambda right: scale @ (H_reps @ (P @ right))
+
+    # on a square torus n_orbits = order_y, and R, the quarter turn with
+    # the a <-> b swap, takes T_x to T_y and T_y to T_x^-1: it maps the
+    # sector (kx, ky) into the T_y multiplet of (-ky, kx), with weight 1/m
+    # on each member
+    partner = list(range(len(labels)))
+    if geom.Lx == geom.Ly and (alpha * geom.n_sites).denominator == 1:
+        partner = [labels.index(((-ky) % n_orbits, kx)) for kx, ky in labels]
+    rot = None  # R on the basis states, built for the first pair
+    Ws, Es = [None] * len(labels), [None] * len(labels)
+    origin = list(range(len(labels)))  # the solved block of each sector
+    E_all, label_all, src = [], [], []
     for n, (kx, ky) in enumerate(labels):
         kept = np.flatnonzero(ok[n])
-        E, W = np.zeros(0), np.zeros((kept.size, 0))
-        if kept.size:
-            P, k = projector(n), min(levels, kept.size)
-            scale = sp.csr_matrix((np.sqrt(length[kept]),
-                                   (np.arange(kept.size), kept)),
-                                  shape=(kept.size, reps.size))
-
-            def block(right):
-                # H_b right = diag(sqrt L) H[reps[kept]] P right, the rows
-                # picked last; no H_b is kept
-                return scale @ (H_reps @ (P @ right))
-
-            solved = None
-            x = mirror[kept]
-            if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
-                s_x = character(kx, ky, a_of[x], c_of[x]) / ph_of[x]
-                solved = _real_frame_eigenstates(
-                    block, np.searchsorted(kept, orbit[x]), s_x, k)
-            E, W = solved or lowest_eigenstates(
-                block(sp.identity(kept.size, format="csr")), k)
-            _check_residual(block(W) - W * E, norm)
-            del P  # the lift builds it again, for the vectors it returns
-        Ws.append(W)
+        if Ws[n] is None:  # else R gave it from the block origin[n]
+            E, W = np.zeros(0), np.zeros((kept.size, 0))
+            if kept.size:
+                P, block = sector(n)
+                k = min(levels, kept.size)
+                solved = None
+                x = mirror[kept]
+                if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
+                    s_x = character(kx, ky, a_of[x], c_of[x]) / ph_of[x]
+                    solved = _real_frame_eigenstates(
+                        block, np.searchsorted(kept, orbit[x]), s_x, k)
+                E, W = solved or lowest_eigenstates(
+                    block(sp.identity(kept.size, format="csr")), k)
+                _check_residual(block(W) - W * E, norm)
+                p = partner[n]
+                if p > n and ok[p].sum() == kept.size:
+                    if rot is None:
+                        rot = _fock_map(basis, *rotation_with_swap(geom, alpha))
+                    W_p = _turned_eigenvectors(P, block, *sector(p), rot, m,
+                                               W, E, norm)
+                    if W_p is not None:
+                        Ws[p], Es[p], origin[p] = W_p, E, n
+                del P, block  # the lift builds P again, for its vectors
+            Ws[n], Es[n] = W, E
+        E = Es[n]
         for j in range(m):
             E_all.append(E)
             label_all.append(np.tile([(kx + j * shift) % order, ky], (E.size, 1)))
             src.append(np.stack([np.full(E.size, n), np.full(E.size, j),
                                  np.arange(E.size)], axis=1))
+    del rot
     E_all, label_all = np.concatenate(E_all), np.concatenate(label_all)
     src = np.concatenate(src)
     pick = np.lexsort((label_all[:, 1], label_all[:, 0], E_all))[:count]
-    # each level comes back m times: name the T_y images of a returned
-    # level that the cut at count leaves out
-    returned = {(n, i) for n, _, i in src[pick].tolist()}
+    # each level comes back m times, and 2m times when R pairs its block:
+    # name the T_y and R images of a returned level that the cut at count
+    # leaves out
+    returned = {(origin[n], i) for n, _, i in src[pick].tolist()}
     left = sorted(label_all[r].tolist()
                   for r in np.setdiff1d(np.arange(len(src)), pick)
-                  if (src[r, 0], src[r, 2]) in returned)
+                  if (origin[src[r, 0]], src[r, 2]) in returned)
     if left:
         warnings.warn(
             f"count {count} cuts a T_y multiplet: its sectors "
@@ -447,7 +518,8 @@ def sector_eigenstates(
     src = src[pick]
 
     # lift only the chosen vectors: P W, then T_y^j
-    ty, ty_phase = _fock_map(basis, *magnetic_translation_y(geom, alpha, b))
+    ty, ty_phase = _fock_map(basis, *_both_species(
+        *magnetic_translation_y(geom, alpha, b)))
     V = np.empty((dim, count), dtype=complex)
     for n in np.unique(src[:, 0]):
         mine = np.flatnonzero(src[:, 0] == n)

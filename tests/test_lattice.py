@@ -11,8 +11,10 @@ from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                PhasePattern, links_from_phases,
                                links_from_vector_potential,
                                magnetic_translation_x, magnetic_translation_y,
-                               plaquette_flux, uniform_phase_pattern)
-from gaugelatt.singleparticle import build_target_hamiltonian
+                               plaquette_flux, rotation_with_swap,
+                               uniform_phase_pattern)
+from gaugelatt.singleparticle import (ModelParams, build_bilayer_hamiltonian,
+                                      build_target_hamiltonian)
 
 TWO_PI = 2 * math.pi
 
@@ -219,6 +221,50 @@ class TestMagneticTranslation:
         if (2 * alpha * steps) % 1:
             U[perm, np.arange(geom.n_sites)] = np.exp(-1j * phase)
             assert np.abs(U @ H - H @ U).max() > 0.1
+
+
+class TestQuarterTurn:
+    @staticmethod
+    def mode_map(perm, phase):
+        """U[perm[m], m] = exp(i phase[m])."""
+        U = np.zeros((len(perm), len(perm)), dtype=complex)
+        U[perm, np.arange(len(perm))] = np.exp(1j * np.asarray(phase))
+        return U
+
+    def test_needs_a_square_torus_with_whole_flux(self):
+        with pytest.raises(ValueError, match="needs a square torus, got 4x6"):
+            rotation_with_swap(torus(4, 6), Fraction(1, 8))
+        with pytest.raises(ValueError, match=r"alpha\*Lx\*Ly = 1/2 "):
+            rotation_with_swap(torus(4, 4), Fraction(1, 32))
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 6), data=st.data(), omega=st.floats(0.0, 12.0),
+           J2=st.sampled_from([0.0, 0.3]))
+    def test_is_a_symmetry_that_swaps_the_translations(self, L, data, omega,
+                                                       J2):
+        # R H R^dag = H for the bilayer matrix, and R T_x R^dag = T_y,
+        # R T_y R^dag = T_x^dag for the translations by s sites of the sector
+        # solve, phases included, on both species
+        geom = torus(L, L)
+        alpha = Fraction(data.draw(st.integers(-L * L, 2 * L * L)), L * L)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        H = build_bilayer_hamiltonian(geom, links, ModelParams(
+            J=1.0, omega=omega, J2=J2)).toarray()
+        perm, phase = rotation_with_swap(geom, alpha)
+        assert sorted(perm) == list(range(2 * geom.n_sites))
+        R = self.mode_map(perm, phase)
+        np.testing.assert_allclose(R @ H @ R.conj().T, H, rtol=0, atol=1e-12)
+        s, zero = (alpha * L).denominator, np.zeros(geom.n_sites)
+        x = magnetic_translation_x(geom, alpha, s)
+        y, y_phase = magnetic_translation_y(geom, alpha, s)
+        Tx = self.mode_map(np.concatenate([x, x + geom.n_sites]),
+                           np.concatenate([zero, zero]))
+        Ty = self.mode_map(np.concatenate([y, y + geom.n_sites]),
+                           np.concatenate([y_phase, y_phase]))
+        np.testing.assert_allclose(R @ Tx @ R.conj().T, Ty, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(R @ Ty @ R.conj().T, Tx.conj().T, rtol=0,
+                                   atol=1e-12)
 
 
 class TestSerialization:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from gaugelatt import manybody
 from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                links_from_phases, magnetic_translation_x,
-                               magnetic_translation_y, uniform_phase_pattern)
+                               magnetic_translation_y, rotation_with_swap,
+                               uniform_phase_pattern)
 from gaugelatt.laughlin import laughlin_lattice_states, laughlin_overlap
 from gaugelatt.manybody import (DIM_CAP, _real_frame_eigenstates,
                                 build_fock_basis,
@@ -249,14 +250,50 @@ def translation_group(geom, alpha, N):
 
 
 @st.composite
-def small_tori(draw, coupling=st.floats(0.5, 12.0)):
-    """A random torus instance (geom, alpha, N, params), basis at most 816."""
-    Lx, Ly = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def small_tori(draw, coupling=st.floats(0.5, 12.0), square=st.just(False),
+               U=None, J2=st.floats(0.0, 0.5)):
+    """A random torus instance (geom, alpha, N, params), basis at most 816;
+    Lx = Ly where `square` draws True, and U from `coupling` unless given."""
+    Lx = draw(st.integers(1, 4))
+    Ly = Lx if draw(square) else draw(st.integers(1, 4))
     N = draw(st.integers(1, 3 if Lx * Ly <= 8 else 2))
     alpha = Fraction(draw(st.integers(0, Lx * Ly - 1)), Lx * Ly)
     params = ModelParams(J=draw(st.floats(0.5, 2.0)), omega=draw(coupling),
-                         U=draw(coupling), J2=draw(st.floats(0.0, 0.5)))
+                         U=draw(coupling if U is None else U), J2=draw(J2))
     return torus(Lx, Ly), alpha, N, params
+
+
+def zero_or(values):
+    return st.one_of(st.just(0.0), values)
+
+
+def fock_turn(basis, geom, alpha):
+    """Sparse Fock-space matrix of the quarter turn with the a <-> b swap."""
+    perm, phase = rotation_with_swap(geom, alpha)
+    amp = np.exp(1j * phase[basis.modes].sum(axis=1))
+    return sp.csr_matrix((amp, (basis.permute(perm), np.arange(basis.size))),
+                         shape=(basis.size, basis.size))
+
+
+def every_block(*args):
+    """`sector_eigenstates(*args)` with every block solved, none taken from
+    its quarter-turn partner."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(manybody, "_turned_eigenvectors", lambda *_: None)
+        return sector_eigenstates(*args)
+
+
+def recorded_solves(monkeypatch):
+    """The dimension of every block that `lowest_eigenstates` gets, as a
+    list that fills while the test runs."""
+    dims = []
+
+    def recording(H_b, count):
+        dims.append(H_b.shape[0])
+        return lowest_eigenstates(H_b, count)
+
+    monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
+    return dims
 
 
 def fock_mirror(basis, geom):
@@ -344,9 +381,10 @@ class TestSectorEigenstates:
 
     @pytest.mark.parametrize("case, kinds", [
         # 4x4, alpha = 1/4, N = 2: order_y = 2, so K M_x maps every sector
-        # (kx, ky) onto itself
+        # (kx, ky) onto itself; the quarter turn pairs (0, 1) with (1, 0),
+        # so three of the four are solved
         ((torus(4, 4), Fraction(1, 4), 2,
-          ModelParams(J=1.0, omega=10.0, U=10.0, J2=0.2)), "ffff"),
+          ModelParams(J=1.0, omega=10.0, U=10.0, J2=0.2)), "fff"),
         # 3x4, alpha = 1/3, N = 1: order_y = 4; ky = 1 and 3 swap
         ((torus(3, 4), Fraction(1, 3), 1, ModelParams(J2=0.3)), "fcfc"),
     ])
@@ -501,13 +539,7 @@ class TestSectorEigenstates:
                                                             U=10.0))
         basis, H = torus_hamiltonian(*case)
         assert translation_group(*case[:3])[2:] == (6, 3, 2, 1)
-        dims = []
-
-        def recording(H_b, count):
-            dims.append(H_b.shape[0])
-            return lowest_eigenstates(H_b, count)
-
-        monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
+        dims = recorded_solves(monkeypatch)
         E, _, sectors = sector_eigenstates(columns_of(H), basis, *case[:2], 3)
         assert len(dims) == 3
         assert sum(dims) == pytest.approx(basis.size / 2, rel=0.01)
@@ -515,8 +547,9 @@ class TestSectorEigenstates:
         assert sectors[1, 0] == (sectors[0, 0] + 3) % 6
 
     def test_no_projector_outlives_its_block(self, monkeypatch):
-        # 6x6, alpha = 1/9, N = 2: four sectors, each solved; at every
-        # solve the full-height matrices alive are H and that block's P
+        # 6x6, alpha = 1/9, N = 2: four sectors, three solved, (1, 0) as
+        # the quarter turn of (0, 1); at every solve the full-height
+        # matrices alive are H and that block's P
         case = (torus(6, 6), Fraction(1, 9), 2, ModelParams(J=1.0, omega=10.0,
                                                             U=10.0, J2=0.2))
         basis, H = torus_hamiltonian(*case)
@@ -529,7 +562,7 @@ class TestSectorEigenstates:
 
         monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
         sector_eigenstates(columns_of(H), basis, *case[:2], 3)
-        assert alive == [2] * 4
+        assert alive == [2] * 3
 
     def test_a_cut_multiplet_is_named(self):
         # 6x4, alpha = 1/4, N = 3: m = 2, so every level is a T_y doublet;
@@ -546,6 +579,127 @@ class TestSectorEigenstates:
             E_1, _, one = sector_eigenstates(columns_of(H), basis, *case[:2], 1)
         np.testing.assert_array_equal(E_1, E[:1])
         np.testing.assert_array_equal(one, pair[:1])
+
+    def test_a_cut_multiplet_names_the_turned_sector(self):
+        # 6x6, alpha = 1/18, N = 2: m = 1, and the ground level is in (0, 1)
+        # and in its quarter turn (1, 0); count 1 returns one of them
+        case = (torus(6, 6), Fraction(1, 18), 2, ModelParams(J=1.0, omega=10.0,
+                                                             U=10.0))
+        basis, H = torus_hamiltonian(*case)
+        columns, (geom, alpha) = columns_of(H), case[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E, _, pair = sector_eigenstates(columns, basis, geom, alpha, 2)
+        assert E[0] == E[1] and sorted(pair.tolist()) == [[0, 1], [1, 0]]
+        with pytest.warns(RuntimeWarning, match=re.escape(
+                f"count 1 cuts a T_y multiplet: its sectors {pair[1].tolist()} "
+                "are not returned")):
+            E_1, _, one = sector_eigenstates(columns, basis, geom, alpha, 1)
+        # one level per block instead of two: ARPACK rounds differently
+        np.testing.assert_allclose(E_1, E[:1], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(one, pair[:1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=small_tori(coupling=st.floats(0.0, 12.0),
+                           square=st.just(True)))
+    @example(case=(torus(4, 4), Fraction(1, 4), 2, ModelParams(
+        J=1.0, omega=10.0, U=10.0, J2=0.2)))
+    def test_quarter_turn_is_a_symmetry_of_square_tori(self, case):
+        geom, alpha, N, params = case
+        basis, H = torus_hamiltonian(*case)
+        R = fock_turn(basis, geom, alpha)
+        assert abs(R @ H @ R.conj().T - H).max() < 1e-12
+
+    # random couplings are far from the Laughlin regime, where the overlap
+    # warns that it is low
+    @pytest.mark.filterwarnings("ignore:Laughlin overlap below 0.5")
+    @pytest.mark.filterwarnings("ignore:count .* cuts a T_y multiplet")
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_tori(square=st.booleans(), U=zero_or(st.floats(0.5, 12.0)),
+                           J2=zero_or(st.floats(0.05, 0.5))),
+           count=st.integers(1, 8))
+    @example(case=(torus(4, 4), Fraction(1, 4), 2, ModelParams(
+        J=1.0, omega=10.0, U=10.0, J2=0.2)), count=3)
+    @example(case=(torus(4, 4), Fraction(1, 8), 2, ModelParams(
+        J=1.0, omega=3.0)), count=4)
+    @example(case=(torus(3, 3), Fraction(2, 9), 2, ModelParams(
+        J=0.8, omega=1.0, U=2.0, J2=0.3)), count=6)
+    def test_turned_blocks_match_solving_every_block(self, case, count):
+        geom, alpha, N, params = case
+        basis, H = torus_hamiltonian(*case)
+        scale = max(spla.norm(H, ord=np.inf), 1.0)
+        # compare whole clusters of levels, as in the full-space test above
+        w = np.linalg.eigvalsh(H.toarray())
+        gap = 1e-3 * scale
+        count = min(count, basis.size)
+        while count < basis.size and w[count] - w[count - 1] < gap:
+            count += 1
+        args = (columns_of(H), basis, geom, alpha, count)
+        (E, V, sectors), (E_ref, V_ref, sectors_ref) = (
+            sector_eigenstates(*args), every_block(*args))
+        np.testing.assert_allclose(E, E_ref, rtol=0,
+                                   atol=1e-10 * max(1.0, abs(E_ref).max()))
+        # each exactly degenerate level holds the same sectors
+        levels = np.flatnonzero(np.diff(E_ref) > 1e-8 * scale) + 1
+        for level in np.split(np.arange(count), levels):
+            assert (sorted(sectors[level].tolist())
+                    == sorted(sectors_ref[level].tolist()))
+        states = (laughlin_lattice_states(N, alpha, geom)
+                  if alpha * geom.n_sites == 2 * N else None)
+        for cluster in np.split(np.arange(count),
+                                np.flatnonzero(np.diff(w[:count]) >= gap) + 1):
+            sums = []
+            for X in (V[:, cluster], V_ref[:, cluster]):
+                C = np.hstack([reference_factor(v, basis.M, N) for v in X.T])
+                sums.append([reference_purity(C),
+                             sum(c_mode_number(v, basis) for v in X.T)])
+                if states is not None:
+                    sums[-1].append(sum(
+                        laughlin_overlap(motional_density_matrix(v, basis),
+                                         states) for v in X.T))
+            np.testing.assert_allclose(sums[0], sums[1], rtol=0, atol=1e-10)
+
+    def test_a_broken_turn_is_refused(self, monkeypatch):
+        # 4x4, alpha = 1/4, N = 2: the turn pairs (0, 1) with (1, 0); with
+        # one mode's phase flipped it no longer maps one block onto the
+        # other, so all four blocks are solved, as without the turn
+        case = (torus(4, 4), Fraction(1, 4), 2, ModelParams(J=1.0, omega=10.0,
+                                                            U=10.0, J2=0.2))
+        basis, H = torus_hamiltonian(*case)
+        args = (columns_of(H), basis, *case[:2], 4)
+        reference = every_block(*args)
+        dims = recorded_solves(monkeypatch)
+        sector_eigenstates(*args)
+        assert len(dims) == 3
+
+        def flipped(geom, alpha):
+            perm, phase = rotation_with_swap(geom, alpha)
+            return perm, phase + np.pi * (np.arange(phase.size) == 0)
+
+        monkeypatch.setattr(manybody, "rotation_with_swap", flipped)
+        dims.clear()
+        refused = sector_eigenstates(*args)
+        assert len(dims) == 4
+        for got, ref in zip(refused, reference):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_benchmark_instance_solves_three_blocks(self, monkeypatch):
+        # 12x12, alpha = 1/36, N = 2: sectors (kx, ky) in {0, 1}^2, and the
+        # quarter turn gives (1, 0) from (0, 1)
+        geom, alpha = torus(12, 12), Fraction(1, 36)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        params = ModelParams(J=1.0, omega=10.0, U=10.0)
+        basis = build_fock_basis(2 * geom.n_sites, 2)
+        dims = recorded_solves(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="sectors .3, 1. are not"):
+            E, _, sectors = sector_eigenstates(
+                lambda idx: build_manybody_hamiltonian(
+                    geom, links, params, basis, columns=idx),
+                basis, geom, alpha, 3)
+        assert dims == [5256, 5184, 5184]
+        assert sectors.tolist() == [[0, 0], [2, 0], [1, 1]]
+        assert E[0] == pytest.approx(-23.83064757, abs=1e-8)
 
     @pytest.mark.parametrize("count", [0, -1, 529])
     def test_count_checked_before_any_sector(self, count, monkeypatch):
