@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import (LatticeGeometry, LinkField, magnetic_translation_x,
                       magnetic_translation_y, rotation_with_swap)
@@ -187,6 +186,88 @@ def _check_residual(R: np.ndarray, norm: float):
             f"eigensolver residual {resid:.2e} exceeds tolerance {tol:.2e}")
 
 
+def _inf_norm(H) -> float:
+    """||H||_inf of a sparse matrix: its largest absolute row sum."""
+    return float(abs(H).sum(axis=1).max())
+
+
+EPS = np.finfo(float).eps
+LANCZOS_MATVECS = 200_000  # products H @ v before `_lanczos` gives up
+
+
+def _norm(w: np.ndarray) -> float:
+    """||w||, without np.linalg.norm's per-call checks (~4 calls a step)."""
+    return math.sqrt(np.vdot(w, w).real)
+
+
+def _orthogonalize(Q: np.ndarray, w: np.ndarray):
+    """w minus its projection on the orthonormal rows of Q, by classical
+    Gram-Schmidt with one DGKS refinement if the norm falls below 0.717 of
+    its value, as (h, w, beta): the coefficients conj(Q) w, the remainder
+    and its norm.  beta is 0 when the remainder is rounding noise, at most
+    len(Q) eps ||w||: then w lay in the span of Q."""
+    before = _norm(w)
+    h = (Q @ w.conj()).conj()
+    w = w - h @ Q
+    beta = _norm(w)
+    if beta < 0.717 * before:
+        g = (Q @ w.conj()).conj()
+        w -= g @ Q
+        h += g
+        beta = _norm(w)
+        if beta <= len(Q) * EPS * before:
+            beta = 0.0
+    return h, w, beta
+
+
+def _lanczos(H, k: int, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs (E, X) of the Hermitian H, E ascending and X
+    of shape (dim, k), by Krylov-Schur restarted Lanczos (Stewart, SIAM J.
+    Matrix Anal. Appl. 23, 601 (2001)) from v0, with ARPACK's rules: a
+    basis of ncv = min(dim - 1, max(2k + 1, 20)) vectors; a Ritz pair
+    converged when its residual |beta y_last| <= 1e-10 max(|theta|,
+    eps^(2/3)); a restart that keeps the k + min(nconv, (ncv - k) // 2)
+    lowest Ritz vectors, nconv the converged pairs of the k.  It reads H
+    only through H @ v.  An invariant Krylov space (beta = 0) continues
+    from a fixed-seed random vector orthogonal to the basis, as ARPACK's
+    dgetv0 does.  RuntimeError after LANCZOS_MATVECS products."""
+    dim = v0.size
+    ncv = min(dim - 1, max(2 * k + 1, 20))
+    fresh = np.random.default_rng(1)  # new directions after a breakdown
+    Q = np.zeros((ncv + 1, dim), dtype=v0.dtype)  # the basis, one per row
+    T = np.zeros((ncv, ncv), dtype=v0.dtype)  # Q H Q^dag, lower triangle
+    Q[0] = v0 / _norm(v0)
+    p = matvecs = 0
+    while True:
+        for j in range(p, ncv):
+            h, w, beta = _orthogonalize(Q[:j + 1], H @ Q[j])
+            T[j, :j + 1] = h.conj()
+            if beta:
+                Q[j + 1] = w / beta
+            else:
+                _, w, norm = _orthogonalize(Q[:j + 1],
+                                            fresh.standard_normal(dim))
+                Q[j + 1] = w / norm
+        matvecs += ncv - p
+        theta, Y = np.linalg.eigh(T)
+        resid = np.abs(beta * Y[-1, :k])
+        nconv = np.count_nonzero(
+            resid <= 1e-10 * np.maximum(np.abs(theta[:k]), EPS ** (2 / 3)))
+        if nconv == k:
+            return theta[:k], Q[:ncv].T @ Y[:, :k]
+        if matvecs >= LANCZOS_MATVECS:
+            raise RuntimeError(
+                f"Lanczos converged {nconv} of the {k} lowest eigenpairs "
+                f"in {matvecs} products H @ v")
+        # thick restart: H X = X diag(theta) + q b^T, q the last basis vector
+        p = k + min(nconv, (ncv - k) // 2)
+        Q[:p] = Y[:, :p].T @ Q[:ncv]
+        Q[p] = Q[ncv]
+        T[:] = 0.0
+        T[range(p), range(p)] = theta[:p]
+        T[p, :p] = beta * Y[-1, :p]
+
+
 def lowest_eigenstates(H: sp.csr_matrix,
                        count: int) -> tuple[np.ndarray, np.ndarray]:
     """The `count` lowest eigenpairs (E, V) of a sparse Hermitian matrix:
@@ -194,8 +275,8 @@ def lowest_eigenstates(H: sp.csr_matrix,
     with residual at most 1e-9 * max(||H||_inf, 1).
 
     Small problems (dim <= max(4 * count, 64)) are diagonalized densely,
-    up to DENSE_BYTES of matrix; the rest go to ARPACK through `eigsh`,
-    which runs Lanczos (`dsaupd`) on a real H and Arnoldi (`znaupd`) on a
+    up to DENSE_BYTES of matrix; the rest go to `_lanczos` for count + 4
+    pairs, which runs real Lanczos on a real H and complex Lanczos on a
     complex one.  `sector_eigenstates` hands over its blocks real wherever
     the antiunitary K M_x maps a sector onto itself.
     A Krylov solve finds the members of an exactly degenerate multiplet only
@@ -215,13 +296,11 @@ def lowest_eigenstates(H: sp.csr_matrix,
         # a fixed start vector makes identical runs give identical results
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        evals, evecs = spla.eigsh(H, k=k, which="SA", tol=1e-10,
-                                  v0=v0 if np.iscomplexobj(H) else v0.real)
+        evals, evecs = _lanczos(H, k, v0 if np.iscomplexobj(H) else v0.real)
     order = np.argsort(evals)[:count]
     E, V = evals[order], evecs[:, order]
-    _check_residual(H @ V - V * E, spla.norm(H, ord=np.inf))
-    # Arnoldi returns the members of a degenerate multiplet normalized but
-    # not orthogonal (overlap 4e-3 on the 8x8 ground doublet)
+    _check_residual(H @ V - V * E, _inf_norm(H))
+    # Ritz vectors are orthonormal only to rounding
     return E, np.linalg.qr(V)[0]
 
 
@@ -265,7 +344,7 @@ def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
     H_r = sp.csr_matrix((val.conj(), (col, row)), shape=(dim, dim)) @ block(U)
     # ||U||_inf = ||U^dag||_inf = sqrt(2), so ||H_b||_inf >= ||H_r||_inf / 2
     if (np.abs(H_r.data.imag).max(initial=0.0)
-            > 0.5e-12 * spla.norm(H_r, ord=np.inf)):
+            > 0.5e-12 * _inf_norm(H_r)):
         return None
     H_r = H_r.real  # drop the complex copy before the solve
     E, W_r = lowest_eigenstates(H_r, count)
@@ -286,11 +365,21 @@ def _turned_eigenvectors(P, block, P_t, block_t, rot, m: int,
     P = P.tocoo()
     Q = P_t.conj().T @ sp.csr_matrix(
         (factor[P.row] * P.data, (image[P.row], P.col)), shape=P.shape)
+    del P
     Qh = Q.conj().T.tocsr()
-    if (abs(Qh @ Q - sp.identity(Q.shape[1]) / m).max() > 1e-12
-            or (abs(block(Qh).conj().T - block_t(Q)).max()
-                > 1e-12 * max(norm, 1.0))):
+    # each check reads its difference through .data, not an abs() copy,
+    # and frees it before the next product
+    D = Qh @ Q
+    D -= sp.identity(Q.shape[1]) / m
+    if np.abs(D.data).max(initial=0.0) > 1e-12:
         return None
+    D = block(Qh)  # H_b Q^dag, the adjoint of Q H_b
+    np.conj(D.data, out=D.data)
+    D = D.T.tocsr()
+    D -= block_t(Q)
+    if np.abs(D.data).max(initial=0.0) > 1e-12 * max(norm, 1.0):
+        return None
+    del D, Qh
     W_t = np.linalg.qr(np.sqrt(m) * (Q @ W))[0]
     _check_residual(block_t(W_t) - W_t * E, norm)
     return W_t
@@ -431,7 +520,7 @@ def sector_eigenstates(
     # H[reps] = H[:, reps]^dag, as H is Hermitian; its largest absolute
     # row sum is ||H||_inf
     H_reps = columns(reps).conj().T.tocsr()
-    norm = spla.norm(H_reps, ord=np.inf)
+    norm = _inf_norm(H_reps)
     levels = -(-count // m)  # each block's levels come back m times
 
     def projector(n):
@@ -512,7 +601,7 @@ def sector_eigenstates(
                   if (origin[src[r, 0]], src[r, 2]) in returned)
     if left:
         warnings.warn(
-            f"count {count} cuts a T_y multiplet: its sectors "
+            f"count {count} cuts a symmetry multiplet: its sectors "
             f"{', '.join(map(str, left))} are not returned", RuntimeWarning,
             stacklevel=2)
     src = src[pick]

@@ -111,7 +111,7 @@ class TestGround:
         assert "energy" in stdout and "sector" in stdout
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
-        # basis dimension 2628: the ARPACK path, not the dense one
+        # basis dimension 2628: the Lanczos path, not the dense one
         outs = [tmp_path / "a.json", tmp_path / "b.json"]
         for out in outs:
             rc, _, _ = run(["ground", "--lx", "6", "--ly", "6", "--n", "2",
@@ -535,3 +535,19 @@ def test_import_leaves_scipy_integrate_unloaded():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_ground_leaves_scipy_linalg_unloaded(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gaugelatt.__file__).resolve().parents[1]))
+    script = (
+        "import sys, gaugelatt.cli\n"
+        "gaugelatt.cli.main(['ground', '--lx', '4', '--ly', '4', '--n', '2',"
+        " '--alpha', '1/4', '--output', sys.argv[1]])\n"
+        "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg')"
+        " if m in sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "ground.json")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -4,8 +4,9 @@ The reference functions below are the earlier tuple-basis implementations:
 a tuple of sorted mode tuples, a dict for ranking, and one Python loop per
 basis state; the first-quantized product-space route that one-body
 unitaries such as the magnetic translations took before `FockBasis.permute`;
-and the product-space form of the internal-state diagnostics that
-`motional_density_matrix`, `purity` and `subspace_overlap` replaced.
+the product-space form of the internal-state diagnostics that
+`motional_density_matrix`, `purity` and `subspace_overlap` replaced; and
+ARPACK's `eigsh`, the sparse eigensolver that `_lanczos` replaced.
 """
 
 import math
@@ -476,23 +477,90 @@ def test_residual_error_reports_the_applied_tolerance(monkeypatch):
     diag = np.linspace(-0.1, 0.1, dim)
     H = sp.diags(diag).tocsr()
 
-    def bad_eigsh(A, k, **kwargs):
+    def bad_lanczos(A, k, v0):
         vecs = np.eye(dim)[:, :k]
         return np.full(k, 0.05), vecs  # wrong eigenvalues for these vectors
 
-    monkeypatch.setattr(manybody.spla, "eigsh", bad_eigsh)
+    monkeypatch.setattr(manybody, "_lanczos", bad_lanczos)
     with pytest.raises(RuntimeError, match=r"tolerance 1\.00e-09$"):
         lowest_eigenstates(H, 1)
 
     # exact pairs except the third, whose eigenvalue is off by less than
     # the level spacing: a bad last column alone must raise
-    def last_bad_eigsh(A, k, **kwargs):
+    def last_bad_lanczos(A, k, v0):
         vals = diag[:k].copy()
         vals[2] += 1e-6
         return vals, np.eye(dim)[:, :k]
 
-    monkeypatch.setattr(manybody.spla, "eigsh", last_bad_eigsh)
+    monkeypatch.setattr(manybody, "_lanczos", last_bad_lanczos)
     E, _ = lowest_eigenstates(H, 2)
     np.testing.assert_array_equal(E, diag[:2])
     with pytest.raises(RuntimeError, match=r"residual 1\.00e-06 "):
         lowest_eigenstates(H, 3)
+
+
+@st.composite
+def krylov_problems(draw):
+    """(H, count): a random sparse Hermitian H, real or complex, of
+    dimension 65-400, above the dense branch for count 1-6; where `plant`
+    draws True, H is the direct sum of a random A with itself, so every
+    level is an exact doublet."""
+    dim, count = draw(st.integers(65, 400)), draw(st.integers(1, 6))
+    real, plant = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = dim // 2 if plant else dim
+    A = sp.random(n, n, density=0.05, random_state=rng)
+    if not real:
+        A = A + 1j * sp.random(n, n, density=0.05, random_state=rng)
+    A = A + A.conj().T + sp.diags(rng.normal(size=n))
+    return sp.block_diag([A, A] if plant else [A], format="csr"), count
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=krylov_problems())
+def test_lanczos_matches_arpack_and_the_dense_solve(problem):
+    H, count = problem
+    dim = H.shape[0]
+    E, V = lowest_eigenstates(H, count)
+    assert E.shape == (count,) and V.shape == (dim, count)
+    scale = max(np.abs(H.toarray()).sum(axis=1).max(), 1.0)
+    # ARPACK with the rules `lowest_eigenstates` used before `_lanczos`
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    arpack = spla.eigsh(H, k=min(count + 4, dim - 2), which="SA", tol=1e-10,
+                        v0=v0 if np.iscomplexobj(H) else v0.real)[0]
+    for ref in (np.sort(arpack)[:count],
+                np.linalg.eigvalsh(H.toarray())[:count]):
+        np.testing.assert_allclose(E, ref, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(V.conj().T @ V, np.eye(count), rtol=0,
+                               atol=1e-12)
+
+
+def test_invariant_krylov_space_continues_from_a_fresh_vector(monkeypatch):
+    # three distinct levels, 40 copies each: the Krylov space of any start
+    # vector closes after three steps (beta = 0)
+    H = sp.diags(np.repeat([1.0, 2.0, 3.0], 40)).tocsr()
+    betas = []
+
+    def recording(Q, w):
+        h, w, beta = orthogonalize(Q, w)
+        betas.append(beta)
+        return h, w, beta
+
+    orthogonalize = manybody._orthogonalize
+    monkeypatch.setattr(manybody, "_orthogonalize", recording)
+    E, V = lowest_eigenstates(H, 3)
+    assert betas[2] == 0.0
+    np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:3],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(V.T @ V, np.eye(3), rtol=0, atol=1e-12)
+
+
+def test_lanczos_gives_up_after_its_matvec_cap(monkeypatch):
+    rng = np.random.default_rng(0)
+    A = sp.random(200, 200, density=0.05, random_state=rng)
+    monkeypatch.setattr(manybody, "LANCZOS_MATVECS", 25)
+    with pytest.raises(RuntimeError,
+                       match=r"^Lanczos converged \d+ of the 7 lowest "
+                             r"eigenpairs in \d+ products H @ v$"):
+        lowest_eigenstates((A + A.T).tocsr(), 3)
