@@ -200,24 +200,26 @@ def _norm(w: np.ndarray) -> float:
     return math.sqrt(np.vdot(w, w).real)
 
 
-def _orthogonalize(Q: np.ndarray, w: np.ndarray):
-    """w minus its projection on the orthonormal rows of Q, by classical
-    Gram-Schmidt with one DGKS refinement if the norm falls below 0.717 of
-    its value, as (h, w, beta): the coefficients conj(Q) w, the remainder
-    and its norm.  beta is 0 when the remainder is rounding noise, at most
-    len(Q) eps ||w||: then w lay in the span of Q."""
+def _orthogonalize(Q: np.ndarray, w: np.ndarray, scale: float):
+    """Take from w, in place, its projection on the orthonormal rows of Q,
+    by classical Gram-Schmidt with one DGKS refinement if the norm falls
+    below 0.717 of its value, and return (h, beta): the coefficients
+    conj(Q) w and the norm of the remainder.  beta is 0 when the remainder
+    is rounding noise, at most len(Q) eps scale, scale the norm of the
+    vector before the caller took any part of it away: then that vector lay
+    in the span of Q."""
     before = _norm(w)
     h = (Q @ w.conj()).conj()
-    w = w - h @ Q
+    w -= h @ Q
     beta = _norm(w)
     if beta < 0.717 * before:
         g = (Q @ w.conj()).conj()
         w -= g @ Q
         h += g
         beta = _norm(w)
-        if beta <= len(Q) * EPS * before:
-            beta = 0.0
-    return h, w, beta
+    if beta <= len(Q) * EPS * scale:
+        beta = 0.0
+    return h, beta
 
 
 def _lanczos(H, k: int, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +230,15 @@ def _lanczos(H, k: int, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     converged when its residual |beta y_last| <= 1e-10 max(|theta|,
     eps^(2/3)); a restart that keeps the k + min(nconv, (ncv - k) // 2)
     lowest Ritz vectors, nconv the converged pairs of the k.  It reads H
-    only through H @ v.  An invariant Krylov space (beta = 0) continues
-    from a fixed-seed random vector orthogonal to the basis, as ARPACK's
-    dgetv0 does.  RuntimeError after LANCZOS_MATVECS products."""
+    only through H @ v.
+    Each step j past the restart point p takes the three-term recurrence
+    alpha_j q_j + beta_(j-1) q_(j-1) from H q_j first, so one Gram-Schmidt
+    pass over the basis removes only rounding and the DGKS refinement
+    rarely runs; step p, which the restart couples to every kept Ritz
+    vector, is orthogonalized in full.  An invariant Krylov space (beta at
+    most len(Q) eps ||H q_j||) continues from a fixed-seed random vector
+    orthogonal to the basis, as ARPACK's dgetv0 does.  RuntimeError after
+    LANCZOS_MATVECS products."""
     dim = v0.size
     ncv = min(dim - 1, max(2 * k + 1, 20))
     fresh = np.random.default_rng(1)  # new directions after a breakdown
@@ -240,14 +248,20 @@ def _lanczos(H, k: int, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = matvecs = 0
     while True:
         for j in range(p, ncv):
-            h, w, beta = _orthogonalize(Q[:j + 1], H @ Q[j])
-            T[j, :j + 1] = h.conj()
+            w = H @ Q[j]
+            scale = _norm(w)
+            known = np.zeros(j + 1)  # (beta_(j-1), alpha_j) past p
+            if j > p:
+                known[j - 1:] = beta, np.vdot(Q[j], w).real
+                w -= known[j - 1:] @ Q[j - 1:j + 1]
+            h, beta = _orthogonalize(Q[:j + 1], w, scale)
+            T[j, :j + 1] = (h + known).conj()
             if beta:
-                Q[j + 1] = w / beta
+                np.divide(w, beta, out=Q[j + 1])
             else:
-                _, w, norm = _orthogonalize(Q[:j + 1],
-                                            fresh.standard_normal(dim))
-                Q[j + 1] = w / norm
+                w = fresh.standard_normal(dim).astype(Q.dtype)
+                _, norm = _orthogonalize(Q[:j + 1], w, _norm(w))
+                np.divide(w, norm, out=Q[j + 1])
         matvecs += ncv - p
         theta, Y = np.linalg.eigh(T)
         resid = np.abs(beta * Y[-1, :k])
@@ -346,7 +360,9 @@ def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
     if (np.abs(H_r.data.imag).max(initial=0.0)
             > 0.5e-12 * _inf_norm(H_r)):
         return None
-    H_r = H_r.real  # drop the complex copy before the solve
+    # a real block that owns its data: csr_matvec reads a contiguous array,
+    # and the complex data is freed before the solve
+    H_r.data = H_r.data.real.copy()
     E, W_r = lowest_eigenstates(H_r, count)
     return E, U @ W_r
 

@@ -5,8 +5,10 @@ a tuple of sorted mode tuples, a dict for ranking, and one Python loop per
 basis state; the first-quantized product-space route that one-body
 unitaries such as the magnetic translations took before `FockBasis.permute`;
 the product-space form of the internal-state diagnostics that
-`motional_density_matrix`, `purity` and `subspace_overlap` replaced; and
-ARPACK's `eigsh`, the sparse eigensolver that `_lanczos` replaced.
+`motional_density_matrix`, `purity` and `subspace_overlap` replaced;
+ARPACK's `eigsh`, the sparse eigensolver that `_lanczos` replaced; and the
+Lanczos step that orthogonalized the raw product H q_j against the whole
+basis, which the three-term recurrence replaced.
 """
 
 import math
@@ -516,6 +518,25 @@ def krylov_problems(draw):
     return sp.block_diag([A, A] if plant else [A], format="csr"), count
 
 
+class Counting:
+    """H seen only through H @ v, which it counts."""
+
+    def __init__(self, H):
+        self.H, self.matvecs = H, 0
+
+    def __matmul__(self, v):
+        self.matvecs += 1
+        return self.H @ v
+
+
+def lanczos_start(H, count):
+    """(k, v0) as `lowest_eigenstates` hands them to `_lanczos`."""
+    dim = H.shape[0]
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return min(count + 4, dim - 2), v0 if np.iscomplexobj(H) else v0.real
+
+
 @settings(max_examples=40, deadline=None)
 @given(problem=krylov_problems())
 def test_lanczos_matches_arpack_and_the_dense_solve(problem):
@@ -525,15 +546,110 @@ def test_lanczos_matches_arpack_and_the_dense_solve(problem):
     assert E.shape == (count,) and V.shape == (dim, count)
     scale = max(np.abs(H.toarray()).sum(axis=1).max(), 1.0)
     # ARPACK with the rules `lowest_eigenstates` used before `_lanczos`
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    arpack = spla.eigsh(H, k=min(count + 4, dim - 2), which="SA", tol=1e-10,
-                        v0=v0 if np.iscomplexobj(H) else v0.real)[0]
+    k, v0 = lanczos_start(H, count)
+    arpack = spla.eigsh(H, k=k, which="SA", tol=1e-10, v0=v0)[0]
     for ref in (np.sort(arpack)[:count],
                 np.linalg.eigvalsh(H.toarray())[:count]):
         np.testing.assert_allclose(E, ref, rtol=0, atol=1e-9 * scale)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(count), rtol=0,
                                atol=1e-12)
+
+
+def reference_lanczos(H, k, v0):
+    """`_lanczos` as it was before the three-term recurrence: every step
+    orthogonalizes the raw product H q_j against the whole basis, by
+    classical Gram-Schmidt and one DGKS refinement if the norm falls below
+    0.717 of its value."""
+    def orthogonalize(Q, w):
+        before = np.linalg.norm(w)
+        h = (Q @ w.conj()).conj()
+        w = w - h @ Q
+        beta = np.linalg.norm(w)
+        if beta < 0.717 * before:
+            g = (Q @ w.conj()).conj()
+            w -= g @ Q
+            h += g
+            beta = np.linalg.norm(w)
+            if beta <= len(Q) * np.finfo(float).eps * before:
+                beta = 0.0
+        return h, w, beta
+
+    dim = v0.size
+    ncv = min(dim - 1, max(2 * k + 1, 20))
+    fresh = np.random.default_rng(1)
+    Q = np.zeros((ncv + 1, dim), dtype=v0.dtype)
+    T = np.zeros((ncv, ncv), dtype=v0.dtype)
+    Q[0] = v0 / np.linalg.norm(v0)
+    p = 0
+    while True:
+        for j in range(p, ncv):
+            h, w, beta = orthogonalize(Q[:j + 1], H @ Q[j])
+            T[j, :j + 1] = h.conj()
+            if beta:
+                Q[j + 1] = w / beta
+            else:
+                _, w, norm = orthogonalize(Q[:j + 1],
+                                           fresh.standard_normal(dim))
+                Q[j + 1] = w / norm
+        theta, Y = np.linalg.eigh(T)
+        resid = np.abs(beta * Y[-1, :k])
+        nconv = np.count_nonzero(resid <= 1e-10 * np.maximum(
+            np.abs(theta[:k]), np.finfo(float).eps ** (2 / 3)))
+        if nconv == k:
+            return theta[:k], Q[:ncv].T @ Y[:, :k]
+        p = k + min(nconv, (ncv - k) // 2)
+        Q[:p] = Y[:, :p].T @ Q[:ncv]
+        Q[p] = Q[ncv]
+        T[:] = 0.0
+        T[range(p), range(p)] = theta[:p]
+        T[p, :p] = beta * Y[-1, :p]
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=krylov_problems())
+def test_recurrence_first_step_matches_the_full_reorthogonalization(problem):
+    H, count = problem
+    k, v0 = lanczos_start(H, count)
+    ncv = min(H.shape[0] - 1, max(2 * k + 1, 20))
+    fast, slow = Counting(H), Counting(H)
+    E = manybody._lanczos(fast, k, v0)[0]
+    ref = reference_lanczos(slow, k, v0)[0]
+    scale = max(np.abs(H.toarray()).sum(axis=1).max(), 1.0)
+    np.testing.assert_allclose(E[:count], ref[:count], rtol=0,
+                               atol=1e-9 * scale)
+    # the partner of an exact doublet enters the Krylov space by rounding
+    # alone: either solver may miss one among the 4 extra pairs, and the
+    # matvec count moves either way
+    if np.diff(np.linalg.eigvalsh(H.toarray())[:k + 1]).min() > 1e-9 * scale:
+        np.testing.assert_allclose(E, ref, rtol=0, atol=1e-9 * scale)
+        assert abs(fast.matvecs - slow.matvecs) <= ncv - k
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_dgks_refinement_runs_only_on_rounding(monkeypatch, real):
+    # the raw product H q_j loses most of its norm to one Gram-Schmidt
+    # pass, which made the refinement run in most steps; after the
+    # three-term recurrence, one pass leaves nearly all of it
+    rng = np.random.default_rng(7)
+    A = sp.random(400, 400, density=0.05, random_state=rng)
+    if not real:
+        A = A + 1j * sp.random(400, 400, density=0.05, random_state=rng)
+    H = (A + A.conj().T + sp.diags(rng.normal(size=400))).tocsr()
+    steps = refined = 0
+
+    def recording(Q, w, scale):
+        nonlocal steps, refined
+        one_pass = w - ((Q @ w.conj()).conj()) @ Q
+        steps += 1
+        refined += np.linalg.norm(one_pass) < 0.717 * np.linalg.norm(w)
+        return orthogonalize(Q, w, scale)
+
+    orthogonalize = manybody._orthogonalize
+    monkeypatch.setattr(manybody, "_orthogonalize", recording)
+    E, _ = lowest_eigenstates(H, 3)
+    np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:3],
+                               rtol=0, atol=1e-9 * max(abs(H).sum(1).max(), 1))
+    assert steps > 40 and refined < 0.05 * steps
 
 
 def test_invariant_krylov_space_continues_from_a_fresh_vector(monkeypatch):
@@ -542,10 +658,10 @@ def test_invariant_krylov_space_continues_from_a_fresh_vector(monkeypatch):
     H = sp.diags(np.repeat([1.0, 2.0, 3.0], 40)).tocsr()
     betas = []
 
-    def recording(Q, w):
-        h, w, beta = orthogonalize(Q, w)
+    def recording(Q, w, scale):
+        h, beta = orthogonalize(Q, w, scale)
         betas.append(beta)
-        return h, w, beta
+        return h, beta
 
     orthogonalize = manybody._orthogonalize
     monkeypatch.setattr(manybody, "_orthogonalize", recording)

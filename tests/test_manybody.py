@@ -444,6 +444,26 @@ class TestSectorEigenstates:
                                        ones, 1)
         assert E == pytest.approx([1.0])
 
+    def test_real_frame_solves_a_block_that_owns_its_data(self, monkeypatch):
+        # a strided view into the complex product would make every H @ v
+        # copy the data first, and would keep the complex block alive
+        dim = 80
+        pi = np.arange(dim)[::-1].copy()
+        s = np.ones(dim)
+        B = sp.random(dim, dim, density=0.1, random_state=0, format="csr")
+        H_b = (B + B.T + B[pi][:, pi] + B[pi][:, pi].T).astype(complex).tocsr()
+        seen = []
+
+        def recording(H_r, count):
+            seen.append(H_r)
+            return lowest_eigenstates(H_r, count)
+
+        monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
+        assert _real_frame_eigenstates(H_b.__matmul__, pi, s, 2) is not None
+        (H_r,) = seen
+        assert H_r.data.dtype == np.float64
+        assert H_r.data.flags.c_contiguous and H_r.data.base is None
+
     # random couplings are far from the Laughlin regime, where the overlap
     # warns that it is low
     @pytest.mark.filterwarnings("ignore:Laughlin overlap below 0.5")
