@@ -37,10 +37,6 @@ class ModeFunction:
         if self.w <= 0:
             raise ValueError("waist must be positive")
 
-    def __call__(self, r2):
-        # unit L2 norm: int |A|^2 = 1
-        return math.sqrt(2.0 / (math.pi * self.w ** 2)) * np.exp(-r2 / self.w ** 2)
-
 
 @dataclass(frozen=True)
 class BeamArray:
@@ -70,7 +66,6 @@ class OverlapMatrix:
     kx: np.ndarray  # (Lx, Lx)
     ky: np.ndarray  # (Ly, Ly)
     scale: float
-    cutoff_radius: float
 
     @property
     def T(self) -> np.ndarray:
@@ -106,12 +101,7 @@ def overlap_matrix(geom: LatticeGeometry, wm: WannierModel,
     k = np.exp(-decay * (x[:, None] - x[None, :]) ** 2)
     k[pref * k < drop_tol] = 0.0
     k.flags.writeable = False  # kx and ky are views of it
-    # largest site separation whose overlap survives drop_tol
-    d2 = np.add.outer(x[:lx] ** 2, x[:ly] ** 2)
-    kept = d2[pref * np.exp(-decay * d2) >= drop_tol]
-    cutoff = float(np.sqrt(kept.max())) if kept.size else 0.0
-    return OverlapMatrix(kx=k[:lx, :lx], ky=k[:ly, :ly], scale=pref,
-                         cutoff_radius=cutoff)
+    return OverlapMatrix(kx=k[:lx, :lx], ky=k[:ly, :ly], scale=pref)
 
 
 def _apply(T: OverlapMatrix, x: np.ndarray) -> np.ndarray:

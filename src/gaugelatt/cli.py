@@ -23,10 +23,9 @@ def _parse_alpha(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse flux '{text}' as p/q") from exc
 
 
-def _fail(msg: str, **extra) -> int:
-    doc = {"error": msg}
-    doc.update(extra)
-    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+def _fail(msg: str, command: str) -> int:
+    print(json.dumps({"command": command, "error": msg}, sort_keys=True),
+          file=sys.stderr)
     return 1
 
 
@@ -156,8 +155,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_design(args) -> int:
-    stark = trapdesign.StarkInputs(V_plus=args.vplus, V_minus=args.vminus)
-    ratio = trapdesign.potential_ratio(stark)
+    ratio = trapdesign.potential_ratio(args.vplus, args.vminus)
     geom = trapdesign.TiltGeometry(eta=args.eta)
     va = abs(args.va)
     vb = abs(ratio) * va
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, ZeroDivisionError,
             MemoryError) as exc:
-        return _fail(str(exc) or type(exc).__name__, command=args.command)
+        return _fail(str(exc) or type(exc).__name__, args.command)
 
 
 if __name__ == "__main__":

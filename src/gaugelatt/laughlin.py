@@ -4,7 +4,6 @@ and the ground-state overlap diagnostic."""
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +12,16 @@ from .lattice import LatticeGeometry
 from .manybody import build_fock_basis, subspace_overlap
 
 
-def theta_with_characteristics(z, tau: complex, a: float, b: float,
-                               tol: float = 1e-14):
+# truncation error of the theta sums, relative to the peak term
+_THETA_TOL = 1e-14
+
+
+def theta_with_characteristics(z, tau: complex, a: float, b: float):
     """theta[a,b](z | tau) = sum_n exp(i pi tau (n+a)^2 + 2i (n+a)(z + pi b)).
 
     Elementwise over an array z; a scalar z gives a complex.  Each sum
     window is centered on its dominant term and sized so the truncation
-    error is below `tol` relative to the peak term.  The window is summed
+    error is below _THETA_TOL relative to the peak term.  The window is summed
     one term at a time, so memory stays O(len z).
     """
     im_tau = tau.imag
@@ -29,7 +31,8 @@ def theta_with_characteristics(z, tau: complex, a: float, b: float,
     # |term(n)| ~ exp(-pi im_tau (n+a)^2 - 2 (n+a) Im z); peak at
     # n+a = -Im z / (pi im_tau)
     center = -z.imag / (math.pi * im_tau) - a
-    width = math.sqrt(max(-math.log(tol * 1e-3), 1.0) / (math.pi * im_tau)) + 2.0
+    width = math.sqrt(max(-math.log(_THETA_TOL * 1e-3), 1.0)
+                      / (math.pi * im_tau)) + 2.0
     n_lo = np.floor(center - width)
     zb = z + math.pi * b
     out = np.zeros_like(z)
@@ -39,9 +42,9 @@ def theta_with_characteristics(z, tau: complex, a: float, b: float,
     return complex(out) if out.ndim == 0 else out
 
 
-def theta1(z, tau: complex, tol: float = 1e-14):
+def theta1(z, tau: complex):
     """Odd Jacobi theta function; vanishes linearly at the lattice of periods."""
-    return -theta_with_characteristics(z, tau, 0.5, 0.5, tol)
+    return -theta_with_characteristics(z, tau, 0.5, 0.5)
 
 
 # Center-of-mass characteristics for the two degenerate states, matched to
@@ -124,10 +127,4 @@ def laughlin_overlap(F: np.ndarray, states: np.ndarray) -> float:
     two-dimensional subspace."""
     if F.shape[0] != states.shape[1]:
         raise ValueError("density matrix and subspace dimensions do not match")
-    val = subspace_overlap(F, states)
-    if val < 0.5:
-        warnings.warn(
-            "Laughlin overlap below 0.5: likely a gauge-convention mismatch "
-            "between the link field and the Laughlin construction",
-            RuntimeWarning)
-    return val
+    return subspace_overlap(F, states)

@@ -288,11 +288,12 @@ def lowest_eigenstates(H: sp.csr_matrix,
     E ascending, V of shape (dim, count) with orthonormal columns, each pair
     with residual at most 1e-9 * max(||H||_inf, 1).
 
-    Small problems (dim <= max(4 * count, 64)) are diagonalized densely,
-    up to DENSE_BYTES of matrix; the rest go to `_lanczos` for count + 4
-    pairs, which runs real Lanczos on a real H and complex Lanczos on a
-    complex one.  `sector_eigenstates` hands over its blocks real wherever
-    the antiunitary K M_x maps a sector onto itself.
+    Small problems (dim <= max(4 * count, 128)) are diagonalized densely,
+    up to DENSE_BYTES of matrix, and return every member of a degenerate
+    level; the rest go to `_lanczos` for count + 4 pairs, which runs real
+    Lanczos on a real H and complex Lanczos on a complex one.
+    `sector_eigenstates` hands over its blocks real wherever the
+    antiunitary K M_x maps a sector onto itself.
     A Krylov solve finds the members of an exactly degenerate multiplet only
     by rounding and may miss some; `sector_eigenstates` puts the partners
     that the magnetic translations enforce into different blocks.
@@ -302,7 +303,7 @@ def lowest_eigenstates(H: sp.csr_matrix,
     dim = H.shape[0]
     if not 1 <= count <= dim:
         raise ValueError(f"need 1 <= count <= {dim} (the basis size)")
-    if dim <= max(4 * count, 64):
+    if dim <= max(4 * count, 128):
         _check_dense(dim, dim, f"dense eigensolve of dimension {dim}")
         evals, evecs = np.linalg.eigh(H.toarray())
     else:
@@ -466,7 +467,7 @@ def sector_eigenstates(
     returned vector; across blocks only the block eigenvectors W are kept.
     The full-basis images of T_x and Y live only through the orbit walk,
     R's from the first pair it is tried on to the end of the solves, and
-    T_y is built at the lift.
+    T_y is built at the lift when m > 1.
     """
     dim = basis.size
     if not 1 <= count <= dim:
@@ -622,18 +623,20 @@ def sector_eigenstates(
             stacklevel=2)
     src = src[pick]
 
-    # lift only the chosen vectors: P W, then T_y^j
-    ty, ty_phase = _fock_map(basis, *_both_species(
-        *magnetic_translation_y(geom, alpha, b)))
+    # lift only the chosen vectors: P W, then T_y^j; m = 1 has no image
+    if m > 1:
+        ty, ty_phase = _fock_map(basis, *_both_species(
+            *magnetic_translation_y(geom, alpha, b)))
     V = np.empty((dim, count), dtype=complex)
     for n in np.unique(src[:, 0]):
         mine = np.flatnonzero(src[:, 0] == n)
         need, col = np.unique(src[mine, 2], return_inverse=True)
         X = projector(n) @ Ws[n][:, need]
         for j in range(m):
+            if j:
+                X[ty] = ty_phase[:, None] * X
             here = src[mine, 1] == j
             V[:, mine[here]] = X[:, col[here]]
-            X[ty] = ty_phase[:, None] * X
     return E_all[pick], V, label_all[pick]
 
 

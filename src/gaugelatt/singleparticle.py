@@ -325,7 +325,7 @@ def farey_alphas(q_max: int) -> list[Fraction]:
 
 
 def butterfly_scan(q_max: int, params: ModelParams,
-                   resolution: int = 64) -> Iterator[SpectrumResult]:
+                   resolution: int) -> Iterator[SpectrumResult]:
     """Bloch spectra for every coprime p/q with q < q_max on a
     resolution x resolution k grid, ordered by alpha.  Each flux is yielded
     as the iterator reaches it; q_max and resolution are checked at the

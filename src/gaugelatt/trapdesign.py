@@ -15,14 +15,7 @@ import numpy as np
 # the F=1/F=2, m_F=+1 pair of 87Rb
 _WEIGHTS_A = (0.25, 0.75)
 _WEIGHTS_B = (0.75, 0.25)
-
-
-@dataclass(frozen=True)
-class StarkInputs:
-    """ac Stark shifts of the two polarization states."""
-
-    V_plus: float
-    V_minus: float
+_K = 2.0 * math.pi  # wavenumber, in units of 1 / wavelength
 
 
 @dataclass(frozen=True)
@@ -33,16 +26,12 @@ class TiltGeometry:
         if not 0.0 < self.eta < math.pi / 2:
             raise ValueError("tilt angle must lie in (0, pi/2)")
 
-    @property
-    def k(self) -> float:
-        return 2.0 * math.pi
 
-
-def potential_ratio(s: StarkInputs) -> float:
-    """V_b / V_a from the hyperfine combination weights:
-    (3 V_+ + V_-) / (V_+ + 3 V_-)."""
-    num = _WEIGHTS_B[0] * s.V_plus + _WEIGHTS_B[1] * s.V_minus
-    den = _WEIGHTS_A[0] * s.V_plus + _WEIGHTS_A[1] * s.V_minus
+def potential_ratio(V_plus: float, V_minus: float) -> float:
+    """V_b / V_a from the ac Stark shifts of the two polarization states and
+    the hyperfine combination weights: (3 V_+ + V_-) / (V_+ + 3 V_-)."""
+    num = _WEIGHTS_B[0] * V_plus + _WEIGHTS_B[1] * V_minus
+    den = _WEIGHTS_A[0] * V_plus + _WEIGHTS_A[1] * V_minus
     if den == 0.0:
         raise ZeroDivisionError("|a> potential vanishes; ratio diverges")
     return num / den
@@ -64,7 +53,7 @@ def field_profiles(g: TiltGeometry):
     They are quarter-period offset in both directions, so potential minima
     of one polarization sit at maxima of the other.
     """
-    k, eta = g.k, g.eta
+    k, eta = _K, g.eta
     se, ce = math.sin(eta), math.cos(eta)
 
     def e_plus(x, z):
@@ -95,7 +84,7 @@ def raman_parity_integral(g: TiltGeometry, sigma_x: float, sigma_z: float,
     phases b x0 and b z0 are multiples of 2 pi and the integral vanishes;
     `center_offset` displaces the orbital center to probe that cancellation.
     """
-    k, eta = g.k, g.eta
+    k, eta = _K, g.eta
     x0 = site[0] * lattice_spacing(g) + center_offset[0]
     z0 = site[1] * (math.pi / (k * math.sin(eta))) + center_offset[1]
     val = math.sqrt(2.0) / 8.0 * math.sin(2.0 * eta)

@@ -24,7 +24,7 @@ from gaugelatt.singleparticle import (ModelParams, build_target_hamiltonian,
                                       butterfly_scan,
                                       commensurate_bloch_spectrum,
                                       finite_lattice_spectrum)
-from gaugelatt.trapdesign import (StarkInputs, TiltGeometry, hopping_rate,
+from gaugelatt.trapdesign import (TiltGeometry, hopping_rate,
                                   lattice_spacing, potential_ratio,
                                   raman_parity_integral)
 from gaugelatt.beamsynth import (ModeFunction, WannierModel, forward_check,
@@ -93,7 +93,7 @@ def target_model_ground_pair(geom, links, U=10.0):
 
 def test_criterion_1_trap_design():
     with criterion(1, "trap design numbers"):
-        assert potential_ratio(StarkInputs(V_plus=-7, V_minus=1)) == 5.0
+        assert potential_ratio(-7, 1) == 5.0
         ratio = hopping_rate(25.0) / hopping_rate(5.0)
         assert abs(ratio - 0.0133) <= 0.0005
 

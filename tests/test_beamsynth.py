@@ -23,14 +23,16 @@ def wannier(depth_a=5.0, depth_b=25.0):
 
 
 def quadrature_entry(d, wm, mf):
-    """Brute-force 2D quadrature of the beam/Wannier-product overlap."""
+    """Brute-force 2D quadrature of the beam/Wannier-product overlap, with
+    the beam the normalized Gaussian of waist w (int |A|^2 = 1)."""
     na = 1 / math.sqrt(math.pi * wm.sigma_a ** 2)
     nb = 1 / math.sqrt(math.pi * wm.sigma_b ** 2)
+    nw = math.sqrt(2 / (math.pi * mf.w ** 2))
 
     def f(y, x):
         wa = na * math.exp(-(x * x + y * y) / (2 * wm.sigma_a ** 2))
         wb = nb * math.exp(-(x * x + y * y) / (2 * wm.sigma_b ** 2))
-        beam = mf((x - d[0]) ** 2 + (y - d[1]) ** 2)
+        beam = nw * math.exp(-((x - d[0]) ** 2 + (y - d[1]) ** 2) / mf.w ** 2)
         return wa * wb * beam
 
     lim = 8 * max(wm.sigma_a, wm.sigma_b, mf.w)
@@ -41,8 +43,7 @@ def quadrature_entry(d, wm, mf):
 
 def dense_reference(geom, wm, mf, drop_tol=1e-14):
     """The unfactored overlap assembly: T[target site, beam center] over the
-    full (Lx*Ly)^2 distance matrix, entries below drop_tol zeroed, plus the
-    largest kept site separation."""
+    full (Lx*Ly)^2 distance matrix, entries below drop_tol zeroed."""
     n = geom.n_sites
     xs = np.empty((n, 2))
     for j in range(geom.Lx):
@@ -59,11 +60,8 @@ def dense_reference(geom, wm, mf, drop_tol=1e-14):
     pref = n_ab * n_beam * math.pi / inv_tot
     decay = inv_s2 * inv_w2 / inv_tot
     T = pref * np.exp(-decay * d2)
-    mask = T < drop_tol
-    T[mask] = 0.0
-    kept = d2[~mask]
-    cutoff = float(np.sqrt(kept.max())) if kept.size else 0.0
-    return T, cutoff
+    T[T < drop_tol] = 0.0
+    return T
 
 
 def write_csv_loop(beams, path, geom):
@@ -161,9 +159,11 @@ class TestOverlapMatrix:
 
     def test_entries_nonnegative_and_banded(self):
         geom = LatticeGeometry(6, 6)
-        T = overlap_matrix(geom, wannier(), ModeFunction(w=0.3))
-        assert np.all(T.T >= 0.0)
-        assert T.cutoff_radius < 6.0
+        T = overlap_matrix(geom, wannier(), ModeFunction(w=0.3)).T
+        assert np.all(T >= 0.0)
+        j, k = np.divmod(np.arange(geom.n_sites), geom.Ly)
+        d2 = (j[:, None] - j) ** 2 + (k[:, None] - k) ** 2
+        assert np.all(T[d2 >= 36] == 0.0)
 
 
 class TestSolveBeams:
@@ -259,13 +259,12 @@ class TestFactoredAgainstDense:
         geom = LatticeGeometry(lx, ly)
         wm, mf = wannier(depth_a, depth_b), ModeFunction(w=w)
         T = overlap_matrix(geom, wm, mf)
-        ref, cutoff = dense_reference(geom, wm, mf)
+        ref = dense_reference(geom, wm, mf)
         dense = T.T
         kept = ref >= 1e-14
         np.testing.assert_allclose(dense[kept], ref[kept], rtol=1e-14, atol=0)
         # the per-axis cut keeps some entries the joint cut drops; all are tiny
         assert np.all(dense[~kept] < 1e-14)
-        assert T.cutoff_radius == cutoff
         cond = np.linalg.cond(ref)
         if cond < 1e8:
             assert condition_number(T) == pytest.approx(cond, rel=1e-10)

@@ -474,8 +474,9 @@ def test_laughlin_matches_loop(Lx, Ly, alpha, N):
 # ---------------------------------------------------------------- eigensolver
 
 def test_residual_error_reports_the_applied_tolerance(monkeypatch):
-    # scale = 0.1 < 1: the check applies 1e-9 * 1, not 1e-9 * 0.1
-    dim = 100
+    # scale = 0.1 < 1: the check applies 1e-9 * 1, not 1e-9 * 0.1; dim is
+    # above the dense branch, so the patched `_lanczos` runs
+    dim = 200
     diag = np.linspace(-0.1, 0.1, dim)
     H = sp.diags(diag).tocsr()
 
@@ -504,10 +505,10 @@ def test_residual_error_reports_the_applied_tolerance(monkeypatch):
 @st.composite
 def krylov_problems(draw):
     """(H, count): a random sparse Hermitian H, real or complex, of
-    dimension 65-400, above the dense branch for count 1-6; where `plant`
-    draws True, H is the direct sum of a random A with itself, so every
-    level is an exact doublet."""
-    dim, count = draw(st.integers(65, 400)), draw(st.integers(1, 6))
+    dimension 130-400, even when planted, so above the dense branch
+    (dim <= 128 for count 1-6); where `plant` draws True, H is the direct
+    sum of a random A with itself, so every level is an exact doublet."""
+    dim, count = draw(st.integers(130, 400)), draw(st.integers(1, 6))
     real, plant = draw(st.booleans()), draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = dim // 2 if plant else dim
@@ -653,9 +654,9 @@ def test_dgks_refinement_runs_only_on_rounding(monkeypatch, real):
 
 
 def test_invariant_krylov_space_continues_from_a_fresh_vector(monkeypatch):
-    # three distinct levels, 40 copies each: the Krylov space of any start
-    # vector closes after three steps (beta = 0)
-    H = sp.diags(np.repeat([1.0, 2.0, 3.0], 40)).tocsr()
+    # three distinct levels, 50 copies each (above the dense branch): the
+    # Krylov space of any start vector closes after three steps (beta = 0)
+    H = sp.diags(np.repeat([1.0, 2.0, 3.0], 50)).tocsr()
     betas = []
 
     def recording(Q, w, scale):

@@ -189,7 +189,7 @@ class TestLowestEigenstates:
         E0, _ = lowest_eigenstates(H0, 1)
         assert abs(E0[0] + 2 * 10.0) < 8.0  # -N omega + O(J)
 
-    # dim <= 64 takes the dense eigh branch, larger dims take Lanczos
+    # dim <= 128 takes the dense eigh branch, larger dims take Lanczos
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(20, 200),
            count=st.integers(1, 4))
@@ -464,9 +464,6 @@ class TestSectorEigenstates:
         assert H_r.data.dtype == np.float64
         assert H_r.data.flags.c_contiguous and H_r.data.base is None
 
-    # random couplings are far from the Laughlin regime, where the overlap
-    # warns that it is low
-    @pytest.mark.filterwarnings("ignore:Laughlin overlap below 0.5")
     @settings(max_examples=30, deadline=None)
     @given(case=small_tori(), count=st.integers(1, 8))
     @example(case=(torus(4, 4), Fraction(1, 4), 2, ModelParams(
@@ -542,26 +539,36 @@ class TestSectorEigenstates:
 
     def test_degeneracy_beyond_the_translations(self):
         # 2x2, alpha = 1/4, N = 3: one sector of 120 states; the lowest
-        # level is at least 4-fold, and the block solve returns all four
-        # copies, though only by rounding (the case below it misses)
+        # level is at least 4-fold, and the block solve, dense at this
+        # size, returns all four copies
         case = (torus(2, 2), Fraction(1, 4), 3, ModelParams(U=0.0))
         basis, H = torus_hamiltonian(*case)
         E, _, _ = sector_eigenstates(columns_of(H), basis, *case[:2], 4)
         np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:4],
                                    rtol=0, atol=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "a degeneracy that no magnetic translation enforces (here: "
-        "decoupled layers, omega = 0) is found by the Krylov block solve "
-        "only by rounding"))
     def test_degeneracy_of_decoupled_layers(self):
         # 2x2, alpha = 3/4, N = 3, omega = 0: one sector of 120 states;
-        # its third level, -2, is 4-fold, and the block solve returns it
-        # 3 times
+        # its third level, -2, is 4-fold, and the dense block solve returns
+        # all four copies
         case = (torus(2, 2), Fraction(3, 4), 3, ModelParams(U=10.0))
         basis, H = torus_hamiltonian(*case)
         E, _, _ = sector_eigenstates(columns_of(H), basis, *case[:2], 7)
         np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:7],
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "a degeneracy that no magnetic translation enforces (here: "
+        "decoupled layers, omega = 0) is found by the Krylov solve of a "
+        "block above the dense limit only by rounding"))
+    def test_degeneracy_of_decoupled_layers_above_the_dense_limit(self):
+        # 4x2, alpha = 1/8, N = 2, omega = 0: one sector of 136 states; its
+        # second level, -2 - sqrt 2, is 4-fold, and the Krylov block solve
+        # returns it 3 times
+        case = (torus(4, 2), Fraction(1, 8), 2, ModelParams(U=10.0))
+        basis, H = torus_hamiltonian(*case)
+        E, _, _ = sector_eigenstates(columns_of(H), basis, *case[:2], 5)
+        np.testing.assert_allclose(E, np.linalg.eigvalsh(H.toarray())[:5],
                                    rtol=0, atol=1e-9)
 
     def test_one_sector_per_y_orbit_is_solved(self, monkeypatch):
@@ -595,6 +602,26 @@ class TestSectorEigenstates:
         monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
         sector_eigenstates(columns_of(H), basis, *case[:2], 3)
         assert alive == [2] * 3
+
+    # counts that end on a whole multiplet
+    @pytest.mark.parametrize("case, count, calls", [
+        ((torus(6, 6), Fraction(1, 18), 2), 3, 1),  # m = 1: the walk only
+        ((torus(6, 4), Fraction(1, 4), 3), 2, 2),  # m = 2: and at the lift
+    ])
+    def test_y_translation_is_built_only_for_an_image(self, monkeypatch,
+                                                      case, count, calls):
+        basis, H = torus_hamiltonian(*case, ModelParams(J=1.0, omega=10.0,
+                                                        U=10.0))
+        assert translation_group(*case)[4] == calls
+        built = []
+
+        def recording(*args):
+            built.append(args)
+            return magnetic_translation_y(*args)
+
+        monkeypatch.setattr(manybody, "magnetic_translation_y", recording)
+        sector_eigenstates(columns_of(H), basis, *case[:2], count)
+        assert len(built) == calls
 
     def test_a_cut_multiplet_is_named(self):
         # 6x4, alpha = 1/4, N = 3: m = 2, so every level is a T_y doublet;
@@ -642,9 +669,6 @@ class TestSectorEigenstates:
         R = fock_turn(basis, geom, alpha)
         assert abs(R @ H @ R.conj().T - H).max() < 1e-12
 
-    # random couplings are far from the Laughlin regime, where the overlap
-    # warns that it is low
-    @pytest.mark.filterwarnings("ignore:Laughlin overlap below 0.5")
     @pytest.mark.filterwarnings("ignore:count .* cuts a symmetry multiplet")
     @settings(max_examples=40, deadline=None)
     @given(case=small_tori(square=st.booleans(), U=zero_or(st.floats(0.5, 12.0)),

@@ -4,28 +4,28 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from gaugelatt.trapdesign import (StarkInputs, TiltGeometry, field_profiles,
+from gaugelatt.trapdesign import (TiltGeometry, field_profiles,
                                   hopping_rate, lattice_spacing,
                                   potential_ratio, raman_parity_integral)
 
 
 class TestPotentialRatio:
     def test_rubidium_example(self):
-        assert potential_ratio(StarkInputs(V_plus=-7, V_minus=1)) == pytest.approx(5.0)
+        assert potential_ratio(-7, 1) == pytest.approx(5.0)
 
     def test_symmetric_case(self):
-        assert potential_ratio(StarkInputs(V_plus=2.5, V_minus=2.5)) == pytest.approx(1.0)
+        assert potential_ratio(2.5, 2.5) == pytest.approx(1.0)
 
     def test_vminus_zero(self):
-        assert potential_ratio(StarkInputs(V_plus=1.0, V_minus=0.0)) == pytest.approx(3.0)
+        assert potential_ratio(1.0, 0.0) == pytest.approx(3.0)
 
     def test_divergence(self):
         with pytest.raises(ZeroDivisionError):
-            potential_ratio(StarkInputs(V_plus=-3.0, V_minus=1.0))
+            potential_ratio(-3.0, 1.0)
 
     def test_scaling_invariance(self):
-        r1 = potential_ratio(StarkInputs(V_plus=-7, V_minus=1))
-        r2 = potential_ratio(StarkInputs(V_plus=-7e3, V_minus=1e3))
+        r1 = potential_ratio(-7, 1)
+        r2 = potential_ratio(-7e3, 1e3)
         assert r1 == pytest.approx(r2, abs=1e-14)
 
 
