@@ -99,7 +99,7 @@ def build_fock_basis(M: int, N: int) -> FockBasis:
 
 
 def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
-                    sources=None) -> sp.csr_matrix:
+                    sources=None) -> sp.csc_matrix:
     """Lift a one-body mode matrix to the N-boson Fock space, on the
     columns of the basis states `sources` (an index array; all states by
     default): the (basis.size, len(sources)) matrix H[:, sources].
@@ -111,14 +111,14 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
     ob = sp.csc_matrix(one_body)
     if ob.shape != (basis.M, basis.M):
         raise ValueError("one-body matrix dimension does not match mode count")
-    sources = np.arange(basis.size) if sources is None else np.asarray(sources)
-    modes, N, n = basis.modes[sources], basis.N, sources.size
-    empty = np.zeros(0, dtype=np.int64)  # N = 0 lifts to H = 0
-    rows_out, cols_out, vals_out = [empty], [empty], [empty]
-    for p in range(N):
+    modes = basis.modes if sources is None else basis.modes[sources]
+    # N = 0 lifts to H = 0; complex, so the CSC takes the values uncopied
+    empty = np.zeros(0, dtype=np.int32)
+    parts = [(np.zeros(0, dtype=complex), empty, empty)]
+    for p in range(basis.N):
         m = modes[:, p]
         # hop each occupied mode once: from the first slot of its run
-        first = (m != modes[:, p - 1]) if p else np.ones(n, dtype=bool)
+        first = (m != modes[:, p - 1]) if p else np.ones(len(m), dtype=bool)
         n_m = np.sum(modes == m[:, None], axis=1)
         src = np.flatnonzero(first).astype(np.int32)
         # every stored entry t_rm of column m, the diagonal included
@@ -128,21 +128,20 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
         r, new = ob.indices[k], modes[src]
         new[:, p] = r
         n_r = np.sum(new == r[:, None], axis=1)  # after the move
-        rows_out.append(basis.index(new))
-        cols_out.append(src)
-        vals_out.append(ob.data[k] * np.sqrt(n_m[src] * n_r))
+        parts.append((ob.data[k] * np.sqrt(n_m[src] * n_r),
+                      basis.index(new).astype(np.int32), src))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    del parts  # one copy of the triplets while the CSC is built
     # summed column by column, so that each column adds its terms in the
     # same order whatever the other sources
-    H = sp.coo_matrix((np.concatenate(vals_out),
-                       (np.concatenate(rows_out), np.concatenate(cols_out))),
-                      shape=(basis.size, n), dtype=complex).tocsc()
-    return H.tocsr()
+    return sp.csc_matrix((vals, (rows, cols)),
+                         shape=(basis.size, len(modes)), dtype=complex)
 
 
 def build_manybody_hamiltonian(
     geom: LatticeGeometry, links: LinkField, params: ModelParams,
     basis: FockBasis, columns=None,
-) -> sp.csr_matrix:
+) -> sp.csc_matrix:
     """Interacting bilayer Hamiltonian: hopping + Raman coupling plus the
     on-site interaction U [n_a(n_a-1) + n_b(n_b-1) + n_a n_b], on the
     columns of the basis states `columns` (an index array; all states by
@@ -162,10 +161,10 @@ def build_manybody_hamiltonian(
             for q in range(p + 1, basis.N):
                 val += 2 * (modes[:, q] == modes[:, p])
                 val += modes[:, q] == modes[:, p] + ns
-        H = H + sp.csr_matrix((params.U * val,
+        H = H + sp.csc_matrix((params.U * val,
                                (columns, np.arange(columns.size))),
                               shape=H.shape)
-    return H.tocsr()
+    return H
 
 
 def _check_dense(rows: int, cols: int, what: str, fix="lower the count"):
@@ -536,7 +535,7 @@ def sector_eigenstates(
 
     # H[reps] = H[:, reps]^dag, as H is Hermitian; its largest absolute
     # row sum is ||H||_inf
-    H_reps = columns(reps).conj().T.tocsr()
+    H_reps = columns(reps).conj().T  # CSR, the transpose of CSC
     norm = _inf_norm(H_reps)
     levels = -(-count // m)  # each block's levels come back m times
 

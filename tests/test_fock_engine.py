@@ -263,6 +263,7 @@ def assert_same_csr(new, ref, terms):
     that sums more than two terms (n_m t_mm for each stored part of t_mm of
     each occupied mode) may differ in its last digits: the loop and the
     array code add those terms in different orders."""
+    new, ref = new.tocsr(), ref.tocsr()
     np.testing.assert_array_equal(new.indptr, ref.indptr)
     np.testing.assert_array_equal(new.indices, ref.indices)
     rows = np.repeat(np.arange(new.shape[0]), np.diff(new.indptr))

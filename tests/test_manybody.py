@@ -20,8 +20,8 @@ from gaugelatt.lattice import (Boundary, LatticeGeometry, LinkField,
                                magnetic_translation_y, rotation_with_swap,
                                uniform_phase_pattern)
 from gaugelatt.laughlin import laughlin_lattice_states, laughlin_overlap
-from gaugelatt.manybody import (DIM_CAP, _real_frame_eigenstates,
-                                build_fock_basis,
+from gaugelatt.manybody import (DIM_CAP, _inf_norm, _real_frame_eigenstates,
+                                _turned_eigenvectors, build_fock_basis,
                                 build_manybody_hamiltonian, c_mode_number,
                                 lowest_eigenstates, motional_density_matrix,
                                 purity, second_quantize, sector_eigenstates)
@@ -739,6 +739,35 @@ class TestSectorEigenstates:
         for got, ref in zip(refused, reference):
             np.testing.assert_array_equal(got, ref)
 
+    def test_turned_eigenvectors_of_a_phase_permutation(self):
+        # P = P_t = 1 and H_t = S H_b S^dag for a phase permutation S: the
+        # turn gives S W for m = 1, and is refused where Q^dag Q = 1 is not
+        # 1/m or where Q H_b = H_t Q fails
+        dim, rng = 40, np.random.default_rng(3)
+        B = (sp.random(dim, dim, density=0.2, random_state=rng)
+             + 1j * sp.random(dim, dim, density=0.2, random_state=rng))
+        H_b = (B + B.conj().T).tocsr()
+        image = rng.permutation(dim).astype(np.int32)
+        factor = np.exp(2j * np.pi * rng.random(dim))
+        S = sp.csr_matrix((factor, (image, np.arange(dim))), shape=(dim, dim))
+        H_t = (S @ H_b @ S.conj().T).tocsr()
+        E, W = np.linalg.eigh(H_b.toarray())
+        E, W = E[:3], W[:, :3]
+        eye = sp.identity(dim, dtype=complex, format="csr")
+
+        def turned(H_t, m):
+            return _turned_eigenvectors(eye, H_b.__matmul__, eye,
+                                        H_t.__matmul__, (image, factor), m,
+                                        W, E, _inf_norm(H_b))
+
+        W_t = turned(H_t, 1)
+        # QR leaves each column's sign free
+        np.testing.assert_allclose(np.abs(W_t.conj().T @ (S @ W)), np.eye(3),
+                                   rtol=0, atol=1e-12)
+        assert turned(H_t, 2) is None
+        kick = sp.csr_matrix(([1e-6], ([0], [0])), shape=(dim, dim))
+        assert turned(H_t + kick, 1) is None
+
     def test_benchmark_instance_solves_three_blocks(self, monkeypatch):
         # 12x12, alpha = 1/36, N = 2: sectors (kx, ky) in {0, 1}^2, and the
         # quarter turn gives (1, 0) from (0, 1)
@@ -934,6 +963,23 @@ class TestDiagnostics:
         F, s = motional_density_matrix(u, basis), np.arange(2 ** N)
         flips = sum(np.vdot(F, F[:, s ^ (1 << p)]).real for p in range(N))
         assert abs(c_mode_number(u, basis) - (N / 2 - flips / 2)) <= 1e-12 * N
+
+    def test_dark_mode_lift_peak_per_stored_entry(self):
+        # one a^dag b hop per site over the 123,410 states of 20 sites and
+        # N = 4: the lift holds one copy of its triplets and then the CSC it
+        # returns, about 71 bytes per stored entry at its peak; keeping the
+        # per-slot pieces beside their concatenation and converting to CSR
+        # reads 104
+        basis = build_fock_basis(40, 4)
+        a = np.arange(20)
+        hop = sp.csr_matrix((np.ones(20), (a, a + 20)), shape=(40, 40))
+        tracemalloc.start()
+        try:
+            A = second_quantize(hop, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 88 * A.nnz
 
     def test_reference_instance_values(self):
         geom, links, params = reference_setup()
