@@ -21,9 +21,10 @@ class WannierModel:
     sigma_b: float
 
     def __post_init__(self):
-        if self.sigma_a <= 0 or self.sigma_b <= 0:
+        # written so that NaN fails every test
+        if not (self.sigma_a > 0 and self.sigma_b > 0):
             raise ValueError("Wannier widths must be positive")
-        if self.sigma_a >= 1.0 or self.sigma_b >= 1.0:
+        if not (self.sigma_a < 1.0 and self.sigma_b < 1.0):
             raise ValueError("Wannier widths must be below the lattice spacing")
 
 
@@ -34,8 +35,9 @@ class ModeFunction:
     w: float
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("waist must be positive")
+        if not 0 < self.w < math.inf:
+            raise ValueError(f"beam waist must be positive and finite, "
+                             f"got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class OverlapMatrix:
 def wannier_width(V0: float) -> float:
     """Harmonic ground-state width of a sinusoidal well of depth V0 (recoil
     units): sigma = (1/pi) (Er/V0)^(1/4)."""
-    if V0 <= 0:
-        raise ValueError("potential depth must be positive")
+    if not 0 < V0 < math.inf:
+        raise ValueError(f"well depth must be positive and finite, got {V0}")
     return (1.0 / math.pi) * V0 ** -0.25
 
 

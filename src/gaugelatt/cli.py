@@ -34,21 +34,30 @@ def cmd_butterfly(args) -> int:
     results = singleparticle.butterfly_scan(args.q_max, params,
                                             resolution=args.resolution)
     out = Path(args.output)
-    count, lo, hi = 0, math.inf, -math.inf
-    with open(out, "w") as fh:
-        fh.write("p,q,alpha,eigenvalue\n")
-        # one flux at a time, ordered by alpha, each sorted by energy
-        for r in results:
-            row = f"{r.p},{r.q},{r.alpha:.12g},%.12g\n".__mod__
-            # a level repeats once per k-point of its class: format it once
-            fh.write("".join(map(operator.mul, map(row, r.levels.tolist()),
-                                 r.counts.tolist())))
-            count += int(r.counts.sum())
-            lo, hi = min(lo, r.levels[0]), max(hi, r.levels[-1])
     plot = out.with_suffix(".plot.txt")
-    with open(plot, "w") as fh:
-        fh.write("x: energy/J\ny: alpha\nsource: " + out.name + "\n"
-                 "columns: eigenvalue vs alpha\n")
+    count, lo, hi = 0, math.inf, -math.inf
+    made = [out]
+    try:
+        with open(out, "w") as fh:
+            fh.write("p,q,alpha,eigenvalue\n")
+            # one flux at a time, ordered by alpha, each sorted by energy
+            for r in results:
+                row = f"{r.p},{r.q},{r.alpha:.12g},%.12g\n".__mod__
+                # a level repeats once per k-point of its class: format once
+                fh.write("".join(map(operator.mul,
+                                     map(row, r.levels.tolist()),
+                                     r.counts.tolist())))
+                count += int(r.counts.sum())
+                lo, hi = min(lo, r.levels[0]), max(hi, r.levels[-1])
+        made.append(plot)
+        with open(plot, "w") as fh:
+            fh.write("x: energy/J\ny: alpha\nsource: " + out.name + "\n"
+                     "columns: eigenvalue vs alpha\n")
+    except BaseException:
+        # the CSV is streamed as the scan runs: leave no partial output
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
     print(f"wrote {out} ({count} eigenvalues, range [{lo:.6f}, {hi:.6f}] J)")
     return 0
 

@@ -332,17 +332,274 @@ def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
             np.exp(1j * np.asarray(phase)[basis.modes].sum(axis=1)))
 
 
-def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
+# what one chunk of a pass reads: CHUNK stored entries of H[:, reps] for a
+# block, or 1/64 of the block where that is more, so that small blocks keep
+# their temporaries small and large ones pay the cost of a chunk 64 times a
+# pass; CHUNK basis states for a lift
+CHUNK = 1 << 13
+
+
+def _stack(pieces, cols: int, bound: int, dtype) -> sp.csr_matrix:
+    """The CSR matrices that the iterable `pieces` yields, of `cols`
+    columns each, one below the other, as one CSR that owns its arrays.
+    Each piece is copied, as it comes, into arrays of `bound` entries, at
+    least the total, which are then shrunk in place: the pieces and the
+    whole are never alive at once, and the unwritten pages of the arrays
+    are never touched."""
+    data = np.empty(bound, dtype=dtype)
+    indices = np.empty(bound, dtype=np.int32)
+    indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
+    for B in pieces:
+        data[nnz:nnz + B.nnz], indices[nnz:nnz + B.nnz] = B.data, B.indices
+        indptr.append(B.indptr[1:] + nnz)
+        nnz += B.nnz
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    indptr = np.concatenate(indptr)
+    out = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, cols))
+    out.data = data  # the array itself, not the constructor's view of it
+    return out
+
+
+# _Block and _Sectors serve sector_eigenstates alone, and their methods are
+# private too: perfbench traces every public function that `cli` reaches
+class _Block:
+    """A Hermitian sector block B of `size` rows, given by its rows:
+    rows(sel) = B[sel] as CSR, for an index array sel; it stores at most
+    `entries` entries.  Every pass over B builds it `step` rows at a time,
+    so that no pass holds more of B than one chunk of rows."""
+
+    def __init__(self, rows, size: int, step: int, entries: int):
+        self.rows, self.size, self.step, self.entries = rows, size, step, entries
+
+    def _chunks(self):
+        for lo in range(0, self.size, self.step):
+            yield np.arange(lo, min(lo + self.step, self.size))
+
+    def _matrix(self) -> sp.csr_matrix:
+        return _stack((self.rows(sel) for sel in self._chunks()), self.size,
+                      self.entries, complex)
+
+    def _apply(self, X: np.ndarray) -> np.ndarray:
+        """B @ X, one chunk of rows at a time."""
+        out = np.empty((self.size, X.shape[1]), dtype=complex)
+        for sel in self._chunks():
+            out[sel] = self.rows(sel) @ X
+        return out
+
+
+class _Sectors:
+    """The orbits of the basis states under T_x and Y = T_y^m, and the
+    magnetic-translation sectors (kx, ky) that each orbit carries, as
+    `sector_eigenstates` defines them.
+
+    From each representative reps[orbit[i]] the state i is reached first
+    by the group element g = T_x^a Y^c, g_of[i] = a * order_y + c, as
+    g |rep> = ph_of[i] |i>; length[r] states make up orbit r, and ok[n, r]
+    tells whether the sector labels[n] exists on it."""
+
+    def __init__(self, basis: FockBasis, geom: LatticeGeometry,
+                 alpha: Fraction):
+        dim = basis.size
+        s, b = (alpha * geom.Ly).denominator, (alpha * geom.Lx).denominator
+        order = geom.Lx // math.gcd(geom.Lx, s)
+        shift = int(-order * basis.N * alpha * s * b % order)
+        n_orbits = math.gcd(shift, order)  # T_y orbits of kx
+        m = order // n_orbits
+        order_y = geom.Ly // math.gcd(geom.Ly, b * m)
+        self.basis, self.geom, self.alpha = basis, geom, alpha
+        self.b, self.order, self.order_y = b, order, order_y
+        self.shift, self.n_orbits, self.m = shift, n_orbits, m
+        self.labels = [(kx, ky) for kx in range(n_orbits)
+                       for ky in range(order_y)]
+
+        x_perm = magnetic_translation_x(geom, alpha, s)
+        self.x_modes = np.concatenate([x_perm, x_perm + geom.n_sites])
+        tx = basis.permute(self.x_modes).astype(np.int32)
+        y, y_phase = _fock_map(basis, *_both_species(
+            *magnetic_translation_y(geom, alpha, b * m)))
+
+        def walk(start, ph_c=None):
+            # T_x^a Y^c on the states `start`, for every (a, c): (a, c,
+            # image, phase), the phase carried only from a given start
+            # phase ph_c
+            img_c = start
+            for c in range(order_y):
+                img = img_c
+                for a in range(order):
+                    yield a, c, img, ph_c
+                    img = tx[img]
+                if ph_c is not None:
+                    ph_c = ph_c * y_phase[img_c]
+                img_c = y[img_c]
+
+        # orbits: rep[i] is the smallest index of state i's orbit
+        idx = np.arange(dim, dtype=np.int32)
+        rep = idx
+        for *_, img, _ in walk(idx):
+            rep = np.minimum(rep, img)
+        reps = np.flatnonzero(rep == idx)
+        self.reps = reps
+        self.orbit = np.searchsorted(reps, rep).astype(np.int32)
+        del idx, rep, img
+        self.g_of = np.zeros(dim, dtype=np.int32)
+        self.ph_of = np.zeros(dim, dtype=complex)
+        seen = np.zeros(dim, dtype=bool)
+        # a sector exists on an orbit iff its character matches the phase
+        # of every group element that fixes the representative
+        self.ok = np.ones((len(self.labels), reps.size), dtype=bool)
+        chis = [self._chi(*label) for label in self.labels]
+        for a, c, img, ph in walk(reps, np.ones(reps.size, dtype=complex)):
+            g, new = a * order_y + c, ~seen[img]
+            seen[img[new]] = True
+            self.g_of[img[new]], self.ph_of[img[new]] = g, ph[new]
+            fixed = img == reps
+            for ok, chi in zip(self.ok, chis):
+                ok &= ~fixed | (np.abs(ph - chi[g]) < 1e-8)
+        del tx, y, y_phase, seen
+        self.length = np.bincount(self.orbit)  # orbit sizes
+        # the image of each representative under the mirror M of both species
+        site = np.arange(geom.n_sites)
+        mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
+        mx = np.concatenate([mx, mx + geom.n_sites])
+        self.mirror = basis.index(mx[basis.modes[reps]])
+
+    def _chi(self, kx: int, ky: int) -> np.ndarray:
+        """The eigenvalue of each group element g = a * order_y + c on the
+        sector (kx, ky)."""
+        a, c = np.divmod(np.arange(self.order * self.order_y), self.order_y)
+        return np.exp(2j * np.pi * (kx * a / self.order + ky * c / self.order_y))
+
+    def _lift(self, n: int, w: np.ndarray, out: np.ndarray, j: int = 0,
+              y_map=None):
+        """out = T_y^j P w for an orbit-basis vector w of the sector
+        labels[n] = (kx, ky), P the isometry from its orbit basis to the
+        full space that maps orbit r to sum_g conj(chi(g)) g|rep> / sqrt(L)
+        over the L states of the orbit; y_map = (perm, phase) is T_y on the
+        modes, needed for j > 0.
+        T_y^j maps the orbit of rep, T_y^j |rep> = phi |y>, onto the orbit
+        of y and the sector onto (kx + j shift, ky), whose vector there it
+        gives times phi conj(ph_of[y]) chi'(g_of[y]), chi' that sector's
+        characters.  So state i takes conj(chi'(g_of[i])) ph_of[i] /
+        sqrt(L) times that weight at its orbit, or 0 where the sector does
+        not exist on it; CHUNK states at a time, so that neither P nor a
+        full-basis map of T_y is formed."""
+        kx, ky = self.labels[n]
+        kept = np.flatnonzero(self.ok[n])
+        modes, phi = self.basis.modes[self.reps[kept]], 0.0
+        for _ in range(j):
+            phi = phi + y_map[1][modes].sum(axis=1)
+            modes = y_map[0][modes]
+        y = self.basis.index(modes)
+        chi = self._chi((kx + j * self.shift) % self.order, ky)
+        weight = np.zeros(self.reps.size, dtype=complex)
+        weight[self.orbit[y]] = (w * np.exp(1j * phi) * self.ph_of[y].conj()
+                                 * chi[self.g_of[y]])
+        chi, dim = chi.conj(), self.basis.size
+        for lo in range(0, dim, CHUNK):
+            i = slice(lo, min(lo + CHUNK, dim))
+            o = self.orbit[i]
+            amp = self.ph_of[i] * chi[self.g_of[i]]
+            amp /= np.sqrt(self.length[o])
+            np.multiply(weight[o], amp, out=out[i])
+
+    def _block(self, H_reps: sp.csr_matrix, n: int) -> _Block:
+        """The block B = P^dag H P of the sector labels[n], from H_reps =
+        H[:, reps]^T, whose row j holds the column of representative j.
+        Since H commutes with the group, B = diag(sqrt L) H[reps] P on the
+        orbits where the sector exists: row x of B takes each stored entry
+        H[i, rep_x] once, as conj(H[i, rep_x]) P[i, orbit i] sqrt(L_x), the
+        entries of one orbit summed."""
+        ok = self.ok[n]
+        kept = np.flatnonzero(ok)
+        column = (np.cumsum(ok) - 1).astype(np.int32)
+        chi = self._chi(*self.labels[n]).conj()
+        root = np.sqrt(self.length)
+        start, count = H_reps.indptr[kept], np.diff(H_reps.indptr)[kept]
+
+        def rows(sel):
+            cnt = count[sel]
+            k = _ragged_arange(start[sel], cnt)
+            i = H_reps.indices[k]
+            o = self.orbit[i]
+            val = H_reps.data[k].conj()
+            val *= self.ph_of[i]
+            val *= chi[self.g_of[i]]
+            val *= np.repeat(root[kept[sel]], cnt) / root[o]
+            indptr = np.concatenate([[0], np.cumsum(cnt)])
+            keep = ok[o]
+            if not keep.all():
+                indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+                val, o = val[keep], o[keep]
+            B = sp.csr_matrix((val, column[o], indptr),
+                              shape=(len(sel), kept.size))
+            B.sum_duplicates()
+            return B
+
+        per_row = max(1, H_reps.nnz // max(1, H_reps.shape[0]))
+        return _Block(rows, kept.size, max(1, CHUNK // per_row,
+                                           kept.size // 64), int(count.sum()))
+
+    def _frame(self, n: int):
+        """(pi, s) of the antiunitary Theta = K M on the orbit basis of the
+        sector labels[n], when it maps that sector onto itself: the orbit of
+        representative r goes to the orbit pi(r) of x = M r, with the phase
+        s_r = chi(x) / (phase of x from its representative).  None
+        otherwise."""
+        kept = np.flatnonzero(self.ok[n])
+        x = self.mirror[kept]
+        if (2 * self.labels[n][1] % self.order_y
+                or not self.ok[n][self.orbit[x]].all()):
+            return None
+        return (np.searchsorted(kept, self.orbit[x]),
+                self._chi(*self.labels[n])[self.g_of[x]] / self.ph_of[x])
+
+    def _turn(self, n: int, t: int) -> sp.csr_matrix:
+        """Q = P_t^dag S P from the sector labels[n] to labels[t], S the
+        quarter turn with the swap on the basis, assembled on the orbits.
+
+        S conjugates the group onto <T_y, T_x^m>, so f(i) = conj((P_t e_c')
+        [S i]) (S P e_c)[S i] is constant on the cosets of <T_x^m, Y> in the
+        orbit of representative r, and Q[c', c] = (L_r / m) sum_j f(T_x^j
+        r) over j < m and the orbit of S T_x^j r: m entries per column,
+        read from R applied to T_x^j r."""
+        perm, phase = rotation_with_swap(self.geom, self.alpha)
+        kept = np.flatnonzero(self.ok[n])
+        ok_t = self.ok[t]
+        column_t = np.cumsum(ok_t) - 1
+        chi_n, chi_t = self._chi(*self.labels[n]), self._chi(*self.labels[t])
+        modes = self.basis.modes[self.reps[kept]]
+        rows, cols, vals = [], [], []
+        for j in range(self.m):
+            y = self.basis.index(perm[modes])
+            o = self.orbit[y]
+            keep = ok_t[o]
+            val = (np.sqrt(self.length[kept] / self.length[o]) / self.m
+                   * np.exp(1j * phase[modes].sum(axis=1))
+                   * self.ph_of[y].conj() * chi_t[self.g_of[y]]
+                   * chi_n[j * self.order_y].conj())
+            rows.append(column_t[o[keep]])
+            cols.append(np.flatnonzero(keep))
+            vals.append(val[keep])
+            modes = self.x_modes[modes]  # T_x^(j + 1) r
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(int(ok_t.sum()), kept.size))
+
+
+def _real_frame_eigenstates(block: _Block, pi: np.ndarray, s: np.ndarray,
                             count: int):
-    """The `count` lowest eigenpairs (E, W) of a sector block H_b, given as
-    block(R) = H_b R for sparse R, that commutes with the antiunitary
-    w -> S conj(w), S[pi[i], i] = s[i], solved as the real symmetric matrix
-    H_r = U^dag H_b U with U U^T = S.  H_r is built as U^dag block(U), so
-    the caller need not hold H_b: at most two block-sized matrices are alive
-    at once.
+    """The `count` lowest eigenpairs (E, W) of a sector block H_b that
+    commutes with the antiunitary w -> S conj(w), S[pi[i], i] = s[i],
+    solved as the real symmetric matrix H_r = U^dag H_b U with U U^T = S.
+    H_r is assembled one chunk of rows at a time, U^dag[chunk] H_b[src] U
+    with src the rows that U^dag[chunk] reads: U has at most two entries
+    per row and column, so every entry of H_b meets at most two of U on
+    each side, and only the real part of each chunk is kept.  No
+    block-sized complex matrix exists.
     None if pi is not an involution, S is not symmetric or H_r is not real
-    to 1e-12 ||H_b||_inf."""
-    dim = pi.size
+    to 1e-12 ||H_r||_inf, the norm of the complex chunks."""
+    dim = block.size
     idx = np.arange(dim)
     if not (np.array_equal(pi[pi], idx)
             and np.allclose(s[pi], s, rtol=0, atol=1e-12)):
@@ -355,49 +612,56 @@ def _real_frame_eigenstates(block, pi: np.ndarray, s: np.ndarray,
     val = np.concatenate([root[f], c, c, 1j * c, -1j * c])
     row, col = np.concatenate([f, p, q, p, q]), np.concatenate([f, p, p, q, q])
     U = sp.csr_matrix((val, (row, col)), shape=(dim, dim))
-    H_r = sp.csr_matrix((val.conj(), (col, row)), shape=(dim, dim)) @ block(U)
+    Uh = U.conj().T.tocsr()
+    imag = norm = 0.0
+
+    def real_parts():
+        nonlocal imag, norm
+        for sel in block._chunks():
+            src = np.union1d(sel, pi[sel])
+            piece = Uh[sel][:, src] @ (block.rows(src) @ U)
+            imag = max(imag, np.abs(piece.data.imag).max(initial=0.0))
+            norm = max(norm, _inf_norm(piece))
+            yield piece.real
+
+    # a real block that owns its data: csr_matvec reads a contiguous
+    # array, and each complex chunk is freed once its real part is copied;
+    # an entry of H_b gives at most four of H_r
+    H_r = _stack(real_parts(), dim, 4 * block.entries, float)
+    del Uh
     # ||U||_inf = ||U^dag||_inf = sqrt(2), so ||H_b||_inf >= ||H_r||_inf / 2
-    if (np.abs(H_r.data.imag).max(initial=0.0)
-            > 0.5e-12 * _inf_norm(H_r)):
+    if imag > 0.5e-12 * norm:
         return None
-    # a real block that owns its data: csr_matvec reads a contiguous array,
-    # and the complex data is freed before the solve
-    H_r.data = H_r.data.real.copy()
     E, W_r = lowest_eigenstates(H_r, count)
     return E, U @ W_r
 
 
-def _turned_eigenvectors(P, block, P_t, block_t, rot, m: int,
-                         W: np.ndarray, E: np.ndarray, norm: float):
-    """The eigenvectors, in the orbit basis of the projector P_t, that the
-    Fock map rot = (image, factor) gives from the eigenpairs (E, W) of the
-    block of P, a block of the same size; block(R) = H_b R and block_t
-    likewise.  With S the map and Q = P_t^dag S P, they are sqrt(m) Q W,
-    orthonormalized.
-    None unless Q H_b = H_t Q to 1e-12 max(||H||_inf, 1) and
-    Q^dag Q = 1/m to 1e-12: then Q sqrt(m) is unitary and takes the whole
-    spectrum of one block onto the other's."""
-    image, factor = rot
-    P = P.tocoo()
-    Q = P_t.conj().T @ sp.csr_matrix(
-        (factor[P.row] * P.data, (image[P.row], P.col)), shape=P.shape)
-    del P
-    Qh = Q.conj().T.tocsr()
-    # each check reads its difference through .data, not an abs() copy,
-    # and frees it before the next product
-    D = Qh @ Q
+def _turned_eigenvectors(Q: sp.csr_matrix, block: _Block, block_t: _Block,
+                         m: int, W: np.ndarray, E: np.ndarray, norm: float):
+    """The eigenvectors of the block H_t that the map Q, H_b's orbit basis
+    to H_t's, gives from the eigenpairs (E, W) of the block H_b of the same
+    size: sqrt(m) Q W, orthonormalized.
+    None unless Q^dag Q = 1/m to 1e-12 and Q H_b = H_t Q to 1e-12
+    max(||H||_inf, 1): then Q sqrt(m) is unitary and takes the whole
+    spectrum of one block onto the other's.  The second check reads one
+    chunk of Q's columns at a time, (Q H_b)[:, C] = Q H_b[C]^dag and (H_t
+    Q)[:, C] = H_t[R]^dag Q[R, C], R the rows where Q[:, C] is stored:
+    both blocks are Hermitian, and only those rows of them are built."""
+    D = Q.conj().T @ Q
     D -= sp.identity(Q.shape[1]) / m
     if np.abs(D.data).max(initial=0.0) > 1e-12:
         return None
-    D = block(Qh)  # H_b Q^dag, the adjoint of Q H_b
-    np.conj(D.data, out=D.data)
-    D = D.T.tocsr()
-    D -= block_t(Q)
-    if np.abs(D.data).max(initial=0.0) > 1e-12 * max(norm, 1.0):
-        return None
-    del D, Qh
+    Qc = Q.tocsc()
+    for sel in block._chunks():
+        Q_C = Qc[:, sel]
+        R = np.unique(Q_C.indices)
+        D = Q @ block.rows(sel).conj().T
+        D -= block_t.rows(R).conj().T @ Q_C[R]
+        if np.abs(D.data).max(initial=0.0) > 1e-12 * max(norm, 1.0):
+            return None
+    del D, Qc, Q_C
     W_t = np.linalg.qr(np.sqrt(m) * (Q @ W))[0]
-    _check_residual(block_t(W_t) - W_t * E, norm)
+    _check_residual(block_t._apply(W_t) - W_t * E, norm)
     return W_t
 
 
@@ -440,7 +704,9 @@ def sector_eigenstates(
     (-ky, kx), 1/m of its weight on each member.  When that is another
     label, only the first of the two is solved.  R acts on the basis as a
     phase permutation S, and Q = P_t^dag S P takes the solved block to
-    its partner's orbit basis.  R is used only if Q H_b = H_t Q to
+    its partner's orbit basis; it is assembled from R applied to T_x^j
+    rep, j < m, for each representative (`_Sectors._turn`), m entries per
+    column.  R is used only if Q H_b = H_t Q to
     1e-12 max(||H||_inf, 1) and Q^dag Q = 1/m to 1e-12; then sqrt(m) Q is
     unitary, the partner has the same levels, and its vectors are
     sqrt(m) Q W, orthonormalized and held to the residual bound below.  A
@@ -453,113 +719,40 @@ def sector_eigenstates(
     and 2m times when R pairs its block; if count ends inside such a
     multiplet, a RuntimeWarning names the sectors left out.  Each pair has
     residual at most 1e-9 * max(||H||_inf, 1) in the full space.  That is
-    checked on the block: P (below) is an isometry onto an H-invariant
-    subspace and the real frame U is unitary, so the block residual is the
-    full-space one.
+    checked on the block: P, from a sector's orbit basis to the full
+    space, is an isometry onto an H-invariant subspace and the real frame
+    U is unitary, so the block residual is the full-space one.
     ||H||_inf is read exactly from the representative columns: every
     translation permutes basis states with unit phases, so a column's
     absolute sum is constant on its orbit.
 
-    A sector's projector P, from its orbit basis to the full space, is
-    built from the orbit tables (orbit, a_of, c_of, ph_of, length) while
-    its block is solved, and again at the lift for the sectors that hold a
-    returned vector; across blocks only the block eigenvectors W are kept.
-    The full-basis images of T_x and Y live only through the orbit walk,
-    R's from the first pair it is tried on to the end of the solves, and
-    T_y is built at the lift when m > 1.
+    Memory: no projector P and no full-height matrix other than H[:, reps]
+    exists, and no sparse product the size of a block is formed.  A block
+    B = P^dag H P is built from the stored entries of H[:, reps] and the
+    orbit tables (orbit, g_of, ph_of, length: `_Sectors`), a chunk of
+    rows at a time (`_Sectors._block`): whole for a complex solve, chunk by
+    chunk into the real H_r of `_real_frame_eigenstates`, and again chunk
+    by chunk for each residual and for the turned check, so that at a
+    solve only H[:, reps], the block being solved and its Krylov basis are
+    block-sized.  The returned vectors are lifted one at a time from the
+    tables, their T_y images through T_y applied to the representatives
+    (`_Sectors._lift`).  Across blocks only the block eigenvectors W are
+    kept.  The full-basis images of T_x and Y live only through the orbit
+    walk.
     """
     dim = basis.size
     if not 1 <= count <= dim:
         raise ValueError(f"need 1 <= count <= {dim} (the basis size)")
     _check_dense(dim, count, f"{count} eigenvectors of dimension {dim}")
     alpha = Fraction(alpha)
-    s, b = (alpha * geom.Ly).denominator, (alpha * geom.Lx).denominator
-    order = geom.Lx // math.gcd(geom.Lx, s)
-    shift = int(-order * basis.N * alpha * s * b % order)
-    n_orbits = math.gcd(shift, order)  # T_y orbits of kx
-    m = order // n_orbits
-    order_y = geom.Ly // math.gcd(geom.Ly, b * m)
+    sec = _Sectors(basis, geom, alpha)
+    labels, m, order, shift = sec.labels, sec.m, sec.order, sec.shift
 
-    def character(kx, ky, a, c):
-        # the eigenvalue of T_x^a Y^c on the sector (kx, ky)
-        return np.exp(2j * np.pi * (kx * a / order + ky * c / order_y))
-
-    x_perm = magnetic_translation_x(geom, alpha, s)
-    tx = basis.permute(np.concatenate([x_perm, x_perm + geom.n_sites]))
-    tx = tx.astype(np.int32)
-    y, y_phase = _fock_map(basis, *_both_species(
-        *magnetic_translation_y(geom, alpha, b * m)))
-
-    def walk(start, ph_c=None):
-        # T_x^a Y^c on the states `start`, for every (a, c): (a, c, image,
-        # phase), the phase carried only from a given start phase ph_c
-        img_c = start
-        for c in range(order_y):
-            img = img_c
-            for a in range(order):
-                yield a, c, img, ph_c
-                img = tx[img]
-            if ph_c is not None:
-                ph_c = ph_c * y_phase[img_c]
-            img_c = y[img_c]
-
-    # orbits: rep[i] is the smallest index of state i's orbit; from each
-    # representative, state i is reached first by T_x^a Y^c with phase ph
-    idx = np.arange(dim, dtype=np.int32)
-    rep = idx
-    for *_, img, _ in walk(idx):
-        rep = np.minimum(rep, img)
-    reps = np.flatnonzero(rep == idx)
-    orbit = np.searchsorted(reps, rep).astype(np.int32)
-    del idx, rep, img
-    labels = [(kx, ky) for kx in range(n_orbits) for ky in range(order_y)]
-    a_of, c_of = np.zeros(dim, dtype=np.int32), np.zeros(dim, dtype=np.int32)
-    ph_of, seen = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=bool)
-    # a sector exists on an orbit iff its character matches the phase of
-    # every group element that fixes the representative
-    ok = np.ones((len(labels), reps.size), dtype=bool)
-    for a, c, img, ph in walk(reps, np.ones(reps.size, dtype=complex)):
-        new = ~seen[img]
-        seen[img[new]] = True
-        a_of[img[new]], c_of[img[new]], ph_of[img[new]] = a, c, ph[new]
-        fixed = img == reps
-        for n, (kx, ky) in enumerate(labels):
-            ok[n] &= ~fixed | (np.abs(ph - character(kx, ky, a, c)) < 1e-8)
-    del tx, y, y_phase, seen
-    length = np.bincount(orbit)  # orbit sizes
-    # the image of each representative under the mirror M of both species
-    site = np.arange(geom.n_sites)
-    mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
-    mx = np.concatenate([mx, mx + geom.n_sites])
-    mirror = basis.index(mx[basis.modes[reps]])
-
-    # H[reps] = H[:, reps]^dag, as H is Hermitian; its largest absolute
-    # row sum is ||H||_inf
-    H_reps = columns(reps).conj().T  # CSR, the transpose of CSC
+    # H_reps = H[:, reps]^T, row j the column of representative j; H is
+    # Hermitian, so its largest absolute row sum is ||H||_inf
+    H_reps = columns(sec.reps).T
     norm = _inf_norm(H_reps)
     levels = -(-count // m)  # each block's levels come back m times
-
-    def projector(n):
-        # P maps orbit r to the sector vector conj(chi(g)) g|r> / sqrt(L) of
-        # the sector labels[n], over the orbits where that sector exists
-        rows = np.flatnonzero(ok[n][orbit])
-        column = np.cumsum(ok[n]) - 1
-        return sp.csr_matrix(
-            (ph_of[rows] / character(*labels[n], a_of[rows], c_of[rows])
-             / np.sqrt(length[orbit[rows]]),
-             (rows, column[orbit[rows]])), shape=(dim, int(ok[n].sum())))
-
-    def sector(n):
-        # the projector P of the sector labels[n] and its block map: since
-        # H commutes with the group, H_b right = P^dag H P right =
-        # diag(sqrt L) H[reps[kept]] P right, the rows picked last; no H_b
-        # is kept
-        kept = np.flatnonzero(ok[n])
-        P = projector(n)
-        scale = sp.csr_matrix((np.sqrt(length[kept]),
-                               (np.arange(kept.size), kept)),
-                              shape=(kept.size, reps.size))
-        return P, lambda right: scale @ (H_reps @ (P @ right))
 
     # on a square torus n_orbits = order_y, and R, the quarter turn with
     # the a <-> b swap, takes T_x to T_y and T_y to T_x^-1: it maps the
@@ -567,36 +760,29 @@ def sector_eigenstates(
     # on each member
     partner = list(range(len(labels)))
     if geom.Lx == geom.Ly and (alpha * geom.n_sites).denominator == 1:
-        partner = [labels.index(((-ky) % n_orbits, kx)) for kx, ky in labels]
-    rot = None  # R on the basis states, built for the first pair
+        partner = [labels.index(((-ky) % sec.n_orbits, kx))
+                   for kx, ky in labels]
     Ws, Es = [None] * len(labels), [None] * len(labels)
     origin = list(range(len(labels)))  # the solved block of each sector
     E_all, label_all, src = [], [], []
     for n, (kx, ky) in enumerate(labels):
-        kept = np.flatnonzero(ok[n])
+        size = int(sec.ok[n].sum())
         if Ws[n] is None:  # else R gave it from the block origin[n]
-            E, W = np.zeros(0), np.zeros((kept.size, 0))
-            if kept.size:
-                P, block = sector(n)
-                k = min(levels, kept.size)
-                solved = None
-                x = mirror[kept]
-                if 2 * ky % order_y == 0 and ok[n][orbit[x]].all():
-                    s_x = character(kx, ky, a_of[x], c_of[x]) / ph_of[x]
-                    solved = _real_frame_eigenstates(
-                        block, np.searchsorted(kept, orbit[x]), s_x, k)
-                E, W = solved or lowest_eigenstates(
-                    block(sp.identity(kept.size, format="csr")), k)
-                _check_residual(block(W) - W * E, norm)
+            E, W = np.zeros(0), np.zeros((size, 0))
+            if size:
+                block = sec._block(H_reps, n)
+                k = min(levels, size)
+                frame = sec._frame(n)
+                solved = frame and _real_frame_eigenstates(block, *frame, k)
+                E, W = solved or lowest_eigenstates(block._matrix(), k)
+                _check_residual(block._apply(W) - W * E, norm)
                 p = partner[n]
-                if p > n and ok[p].sum() == kept.size:
-                    if rot is None:
-                        rot = _fock_map(basis, *rotation_with_swap(geom, alpha))
-                    W_p = _turned_eigenvectors(P, block, *sector(p), rot, m,
+                if p > n and sec.ok[p].sum() == size:
+                    W_p = _turned_eigenvectors(sec._turn(n, p), block,
+                                               sec._block(H_reps, p), m,
                                                W, E, norm)
                     if W_p is not None:
                         Ws[p], Es[p], origin[p] = W_p, E, n
-                del P, block  # the lift builds P again, for its vectors
             Ws[n], Es[n] = W, E
         E = Es[n]
         for j in range(m):
@@ -604,7 +790,7 @@ def sector_eigenstates(
             label_all.append(np.tile([(kx + j * shift) % order, ky], (E.size, 1)))
             src.append(np.stack([np.full(E.size, n), np.full(E.size, j),
                                  np.arange(E.size)], axis=1))
-    del rot
+    del H_reps
     E_all, label_all = np.concatenate(E_all), np.concatenate(label_all)
     src = np.concatenate(src)
     pick = np.lexsort((label_all[:, 1], label_all[:, 0], E_all))[:count]
@@ -622,21 +808,14 @@ def sector_eigenstates(
             stacklevel=2)
     src = src[pick]
 
-    # lift only the chosen vectors: P W, then T_y^j; m = 1 has no image
-    if m > 1:
-        ty, ty_phase = _fock_map(basis, *_both_species(
-            *magnetic_translation_y(geom, alpha, b)))
-    V = np.empty((dim, count), dtype=complex)
-    for n in np.unique(src[:, 0]):
-        mine = np.flatnonzero(src[:, 0] == n)
-        need, col = np.unique(src[mine, 2], return_inverse=True)
-        X = projector(n) @ Ws[n][:, need]
-        for j in range(m):
-            if j:
-                X[ty] = ty_phase[:, None] * X
-            here = src[mine, 1] == j
-            V[:, mine[here]] = X[:, col[here]]
-    return E_all[pick], V, label_all[pick]
+    # lift only the chosen vectors, T_y^j P W; m = 1 has no image
+    y_map = (_both_species(*magnetic_translation_y(geom, alpha, sec.b))
+             if m > 1 else None)
+    # one returned vector per row, so that each is lifted in place
+    V = np.empty((count, dim), dtype=complex)
+    for v, (n, j, i) in zip(V, src.tolist()):
+        sec._lift(n, Ws[n][:, i], v, j, y_map)
+    return E_all[pick], V.T, label_all[pick]
 
 
 def _orbit_mean_norm2(x: np.ndarray, key: np.ndarray) -> float:

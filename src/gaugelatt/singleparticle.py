@@ -26,10 +26,16 @@ class ModelParams:
     U: float = 0.0
 
     def __post_init__(self):
-        if self.J <= 0:
-            raise ValueError("hopping J must be positive")
-        if self.omega < 0 or self.J2 < 0:
-            raise ValueError("omega and J2 must be nonnegative")
+        # written so that NaN fails every test
+        if not 0 < self.J < math.inf:
+            raise ValueError(
+                f"hopping J must be positive and finite, got {self.J}")
+        for name in ("omega", "J2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"got {getattr(self, name)}")
+        if not math.isfinite(self.U):
+            raise ValueError(f"interaction U must be finite, got {self.U}")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ class TiltGeometry:
 def potential_ratio(V_plus: float, V_minus: float) -> float:
     """V_b / V_a from the ac Stark shifts of the two polarization states and
     the hyperfine combination weights: (3 V_+ + V_-) / (V_+ + 3 V_-)."""
+    if not (math.isfinite(V_plus) and math.isfinite(V_minus)):
+        raise ValueError(
+            f"V_plus and V_minus must be finite, got {V_plus}, {V_minus}")
     num = _WEIGHTS_B[0] * V_plus + _WEIGHTS_B[1] * V_minus
     den = _WEIGHTS_A[0] * V_plus + _WEIGHTS_A[1] * V_minus
     if den == 0.0:
@@ -40,8 +43,8 @@ def potential_ratio(V_plus: float, V_minus: float) -> float:
 def hopping_rate(V0: float) -> float:
     """Deep-lattice 1D hopping rate (V0/Er)^(3/4) exp(-2 sqrt(V0/Er)) in
     recoil units; only ratios are meaningful."""
-    if V0 <= 0:
-        raise ValueError("potential depth must be positive")
+    if not 0 < V0 < math.inf:
+        raise ValueError(f"lattice depth must be positive and finite, got {V0}")
     return V0 ** 0.75 * math.exp(-2.0 * math.sqrt(V0))
 
 

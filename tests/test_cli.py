@@ -80,6 +80,29 @@ class TestButterfly:
         assert f"({rows} eigenvalues" in stdout
         assert len((tmp_path / "b.csv").read_text().splitlines()) == rows + 1
 
+    def test_a_failed_scan_leaves_no_output(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the CSV is streamed: the first two fluxes are written when the
+        # third fails
+        compute, calls = singleparticle.bloch_block_spectrum, []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("Eigenvalues did not converge")
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(singleparticle, "bloch_block_spectrum", failing)
+        out = tmp_path / "b.csv"
+        rc, stdout, stderr = run(["butterfly", "--q-max", "6", "--resolution",
+                                  "2", "--output", str(out)], capsys)
+        assert rc == 1 and len(calls) == 3
+        assert stdout == "" and stderr.count("\n") == 1
+        assert json.loads(stderr) == {"command": "butterfly",
+                                      "error": "Eigenvalues did not converge"}
+        assert not out.exists()
+        assert not (tmp_path / "b.plot.txt").exists()
+
     @pytest.mark.parametrize("resolution", ["0", "-3"])
     def test_nonpositive_resolution_fails_before_writing(self, tmp_path,
                                                          capsys, resolution):
@@ -277,6 +300,51 @@ class TestGround:
             assert len(reversed_["laughlin_overlap"]) == 2
             np.testing.assert_allclose(reversed_["laughlin_overlap"],
                                        base["laughlin_overlap"], rtol=0, atol=1e-10)
+
+    # the parent's values: energies, sectors of each returned level's whole
+    # multiplet (read with a larger --count), purities, Laughlin overlaps
+    # and c_number
+    @pytest.mark.parametrize("argv, energies, multiplets, purities, "
+                             "overlaps, c_number", [
+        (["--lx", "12", "--ly", "12", "--n", "2", "--alpha", "1/36"],
+         [-23.83064756977618, -23.83064756977618, -23.81201920979323],
+         [[[0, 0], [2, 0]], [[1, 1], [3, 1]]],
+         [0.9998616859639128, 0.9998616859639133],
+         [0.9998360068363421, 0.9998360068363419], 1.9999308374011076),
+        (["--lx", "6", "--ly", "4", "--n", "3", "--alpha", "1/4"],
+         [-34.27950125672647, -34.27950125672647, -34.16307110531273],
+         [[[0, 0], [3, 0]], [[2, 0], [5, 0], [1, 0], [4, 0]]],
+         [0.9894363209728195, 0.9894363209728196],
+         [0.9323326962023997, 0.9323326962024003], 2.9945944407648484),
+        (["--lx", "6", "--ly", "6", "--n", "3", "--alpha", "1/6"],
+         [-34.6983278070715, -34.6983278070715, -34.59780209250771],
+         [[[0, 0], [3, 0]], [[2, 2], [5, 2], [1, 2], [4, 2], [1, 1], [2, 1],
+                             [4, 1], [5, 1]]],
+         [0.9943984908163938, 0.9943984908163942],
+         [0.9806160671257873, 0.9806160671257862], 2.9971904625218184),
+    ], ids=["12x12-N2", "6x4-N3", "6x6-N3"])
+    def test_reference_values(self, tmp_path, capsys, argv, energies,
+                              multiplets, purities, overlaps, c_number):
+        out = tmp_path / "g.json"
+        with pytest.warns(RuntimeWarning, match="cuts a symmetry multiplet"):
+            rc, _, _ = run(["ground", *argv, "--output", str(out)], capsys)
+        assert rc == 0
+        got = json.loads(out.read_text())
+        E = np.array(got["energies"])
+        np.testing.assert_allclose(E, energies, rtol=0,
+                                   atol=1e-10 * max(np.abs(energies).max(), 1))
+        # levels that tie to 1e-12 are compared as a set of sectors, within
+        # the whole multiplet: which copy sorts first follows rounding
+        ties = np.split(np.arange(E.size), np.flatnonzero(np.diff(E) > 1e-12) + 1)
+        assert len(ties) == len(multiplets)
+        for level, multiplet in zip(ties, multiplets):
+            labels = [tuple(s) for s in np.array(got["sectors"])[level]]
+            assert len(set(labels)) == len(labels)
+            assert set(labels) <= {tuple(s) for s in multiplet}
+        np.testing.assert_allclose(got["purities"], purities, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got["laughlin_overlap"], overlaps, rtol=0,
+                                   atol=1e-8)
+        assert got["c_number"] == pytest.approx(c_number, rel=0, abs=1e-8)
 
     @pytest.mark.parametrize("argv, problem", [
         # 5 bosons on 8x8 would hit the basis cap: the count is checked first
@@ -524,6 +592,47 @@ def test_malformed_pattern_file_fails_cleanly(tmp_path, capsys, command, doc,
     err = json.loads(stderr)
     assert err["command"] == command
     assert problem in err["error"]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["ground", "--lx", "4", "--ly", "4", "--alpha", "1/4", "--j2", "inf"],
+     "J2 must be nonnegative and finite, got inf"),
+    (["ground", "--lx", "4", "--ly", "4", "--alpha", "1/4", "--j", "nan"],
+     "hopping J must be positive and finite, got nan"),
+    (["ground", "--lx", "4", "--ly", "4", "--alpha", "1/4", "--omega", "inf"],
+     "omega must be nonnegative and finite, got inf"),
+    (["ground", "--lx", "4", "--ly", "4", "--alpha", "1/4", "--u", "nan"],
+     "interaction U must be finite, got nan"),
+    (["butterfly", "--q-max", "4", "--j", "inf"],
+     "hopping J must be positive and finite, got inf"),
+    (["butterfly", "--q-max", "4", "--omega", "nan"],
+     "omega must be nonnegative and finite, got nan"),
+    (["synth", "--lx", "8", "--ly", "8", "--depth-a", "nan"],
+     "well depth must be positive and finite, got nan"),
+    (["synth", "--lx", "8", "--ly", "8", "--depth-b", "inf"],
+     "well depth must be positive and finite, got inf"),
+    (["synth", "--lx", "8", "--ly", "8", "--waist", "nan"],
+     "beam waist must be positive and finite, got nan"),
+    (["design", "--vplus", "nan", "--vminus", "1"],
+     "V_plus and V_minus must be finite, got nan, 1.0"),
+    (["design", "--vplus", "1", "--vminus=-inf"],
+     "V_plus and V_minus must be finite, got 1.0, -inf"),
+    (["design", "--vplus", "1", "--vminus", "1", "--va", "nan"],
+     "lattice depth must be positive and finite, got nan"),
+    (["design", "--vplus", "1", "--vminus", "1", "--eta", "nan"],
+     "tilt angle must lie in (0, pi/2)"),
+])
+def test_non_finite_inputs_are_refused(tmp_path, capsys, argv, problem):
+    # NaN passes every comparison that a sign check makes, and infinity
+    # passes the sign checks: each quantity is refused where it is built
+    out = tmp_path / "out.csv"
+    if argv[0] != "design":
+        argv = [*argv, "--output", str(out)]
+    rc, stdout, stderr = run(argv, capsys)
+    assert rc == 1 and stdout == ""
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"command": argv[0], "error": problem}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_scipy_integrate_unloaded():

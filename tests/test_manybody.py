@@ -316,6 +316,53 @@ def columns_of(H):
     return lambda idx: H[:, idx]
 
 
+def as_block(H_b, step=7):
+    """A built block as the `_Block` that the solvers read, `step` rows
+    per chunk, so that a small block is read in several chunks."""
+    H_b = sp.csr_matrix(H_b)
+    return manybody._Block(H_b.__getitem__, H_b.shape[0], step, H_b.nnz)
+
+
+def real_frame(pi, s):
+    """The unitary U with U U^T = S, S[pi[i], i] = s[i], as the product
+    form of the real frame: sqrt(s_f) e_f on a fixed f, and sqrt(s_p / 2)
+    (e_p + e_q), i sqrt(s_p / 2) (e_p - e_q) on a pair p < q = pi[p]."""
+    dim, root = pi.size, np.sqrt(s)
+    idx = np.arange(dim)
+    f, p = np.flatnonzero(pi == idx), np.flatnonzero(pi > idx)
+    q, c = pi[p], root[p] / np.sqrt(2)
+    return sp.csr_matrix((np.concatenate([root[f], c, c, 1j * c, -1j * c]),
+                          (np.concatenate([f, p, q, p, q]),
+                           np.concatenate([f, p, p, q, q]))), shape=(dim, dim))
+
+
+def projector(sec, n):
+    """The product form of `_Sectors._lift`: P, from the orbit basis of the
+    sector sec.labels[n] to the full space, as a sparse matrix."""
+    ok = sec.ok[n]
+    rows = np.flatnonzero(ok[sec.orbit])
+    o = sec.orbit[rows]
+    return sp.csr_matrix(
+        (sec.ph_of[rows] * sec._chi(*sec.labels[n]).conj()[sec.g_of[rows]]
+         / np.sqrt(sec.length[o]), (rows, (np.cumsum(ok) - 1)[o])),
+        shape=(sec.basis.size, int(ok.sum())))
+
+
+def real_frame_matrix(block, pi, s):
+    """The real matrix H_r that `_real_frame_eigenstates` solves, or None
+    where it refuses the frame."""
+    seen = []
+
+    def recording(H_r, count):
+        seen.append(H_r)
+        return lowest_eigenstates(H_r, count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(manybody, "lowest_eigenstates", recording)
+        solved = _real_frame_eigenstates(block, pi, s, 1)
+    return seen[0] if solved else None
+
+
 class TestColumnLift:
     @settings(max_examples=40, deadline=None)
     @given(case=small_tori(coupling=st.floats(0.0, 12.0)),
@@ -422,8 +469,16 @@ class TestSectorEigenstates:
         B = B + B.conj().T
         H_b = (B + S @ B.conj() @ S.conj().T).tocsr()
         count = min(3, dim)
-        E, W = _real_frame_eigenstates(H_b.__matmul__, pi, s, count)
+        E, W = _real_frame_eigenstates(as_block(H_b), pi, s, count)
         scale = max(spla.norm(H_b, ord=np.inf), 1.0)
+        # the chunked assembly against the product form U^dag H_b U
+        U = real_frame(pi, s)
+        ref = (U.conj().T @ H_b @ U).toarray()
+        np.testing.assert_allclose(ref.imag, 0, rtol=0, atol=1e-12 * scale)
+        H_r = real_frame_matrix(as_block(H_b, rng.integers(1, dim + 1)),
+                                pi, s)
+        np.testing.assert_allclose(H_r.toarray(), ref.real, rtol=0,
+                                   atol=1e-12 * scale)
         np.testing.assert_allclose(E, np.linalg.eigvalsh(H_b.toarray())[:count],
                                    rtol=0, atol=1e-9 * scale)
         np.testing.assert_allclose(H_b @ W, W * E, rtol=0, atol=1e-9 * scale)
@@ -436,17 +491,16 @@ class TestSectorEigenstates:
         eye = sp.identity(2, dtype=complex, format="csr")
         H_b = sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]]))
         fixed, swap, ones = np.arange(2), np.array([1, 0]), np.ones(2)
-        block = eye.__matmul__
+        block = as_block(eye)
         assert _real_frame_eigenstates(block, np.array([1, 1]), ones, 1) is None
         assert _real_frame_eigenstates(block, swap, np.array([1, 1j]), 1) is None
-        assert _real_frame_eigenstates(H_b.__matmul__, fixed, ones, 1) is None
-        E, _ = _real_frame_eigenstates(H_b.real.tocsr().__matmul__, fixed,
-                                       ones, 1)
+        assert _real_frame_eigenstates(as_block(H_b), fixed, ones, 1) is None
+        E, _ = _real_frame_eigenstates(as_block(H_b.real), fixed, ones, 1)
         assert E == pytest.approx([1.0])
 
     def test_real_frame_solves_a_block_that_owns_its_data(self, monkeypatch):
-        # a strided view into the complex product would make every H @ v
-        # copy the data first, and would keep the complex block alive
+        # a strided view into a complex chunk would make every H @ v copy
+        # the data first, and would keep that chunk alive
         dim = 80
         pi = np.arange(dim)[::-1].copy()
         s = np.ones(dim)
@@ -459,7 +513,7 @@ class TestSectorEigenstates:
             return lowest_eigenstates(H_r, count)
 
         monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
-        assert _real_frame_eigenstates(H_b.__matmul__, pi, s, 2) is not None
+        assert _real_frame_eigenstates(as_block(H_b), pi, s, 2) is not None
         (H_r,) = seen
         assert H_r.data.dtype == np.float64
         assert H_r.data.flags.c_contiguous and H_r.data.base is None
@@ -587,21 +641,52 @@ class TestSectorEigenstates:
 
     def test_no_projector_outlives_its_block(self, monkeypatch):
         # 6x6, alpha = 1/9, N = 2: four sectors, three solved, (1, 0) as
-        # the quarter turn of (0, 1); at every solve the full-height
-        # matrices alive are H and that block's P
+        # the quarter turn of (0, 1); at every solve and at the turned
+        # check the only full-height matrix alive is the test's own H
         case = (torus(6, 6), Fraction(1, 9), 2, ModelParams(J=1.0, omega=10.0,
                                                             U=10.0, J2=0.2))
         basis, H = torus_hamiltonian(*case)
-        alive = []
+        alive, turned = [], []
+
+        def full_height():
+            return sum(1 for o in gc.get_objects() if sp.issparse(o)
+                       and o.shape[0] == basis.size)
 
         def recording(H_b, count):
-            alive.append(sum(1 for o in gc.get_objects() if sp.issparse(o)
-                             and o.shape[0] == basis.size))
+            alive.append(full_height())
             return lowest_eigenstates(H_b, count)
 
+        def turn(*args):
+            turned.append(full_height())
+            return _turned_eigenvectors(*args)
+
         monkeypatch.setattr(manybody, "lowest_eigenstates", recording)
+        monkeypatch.setattr(manybody, "_turned_eigenvectors", turn)
         sector_eigenstates(columns_of(H), basis, *case[:2], 3)
-        assert alive == [2] * 3
+        assert alive == [1] * 3
+        assert turned == [1]
+
+    def test_sector_solve_peak_per_basis_state(self):
+        # 12x12, alpha = 1/36, N = 2 (41,616 states): the traced peak of the
+        # whole sector solve, the lift of H[:, reps] included, per basis
+        # state; the product chain over full-basis projectors read 292 B
+        geom, alpha = torus(12, 12), Fraction(1, 36)
+        links = links_from_phases(uniform_phase_pattern(alpha, geom), geom,
+                                  alpha=alpha)
+        params = ModelParams(J=1.0, omega=10.0, U=10.0)
+        basis = build_fock_basis(2 * geom.n_sites, 2)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the cut
+                sector_eigenstates(
+                    lambda idx: build_manybody_hamiltonian(
+                        geom, links, params, basis, columns=idx),
+                    basis, geom, alpha, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / basis.size < 200
 
     # counts that end on a whole multiplet
     @pytest.mark.parametrize("case, count, calls", [
@@ -715,6 +800,67 @@ class TestSectorEigenstates:
                                          states) for v in X.T))
             np.testing.assert_allclose(sums[0], sums[1], rtol=0, atol=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_tori(coupling=st.floats(0.0, 12.0),
+                           square=st.booleans()))
+    # m = 2 on a square torus, every sector real
+    @example(case=(torus(4, 4), Fraction(1, 4), 2, ModelParams(
+        J=1.0, omega=10.0, U=10.0, J2=0.2)))
+    # m = 1, non-square, complex sectors ky = 1 and 3
+    @example(case=(torus(3, 4), Fraction(1, 3), 1, ModelParams(J2=0.3)))
+    # m = 1 on a square torus: the turn pairs (0, 1) with (1, 0)
+    @example(case=(torus(4, 4), Fraction(1, 8), 2, ModelParams(
+        J=1.0, omega=3.0)))
+    # m = 1 on a square torus with sixteen sectors
+    @example(case=(torus(4, 4), Fraction(1, 2), 2, ModelParams(
+        J=0.8, omega=1.0, U=2.0, J2=0.3)))
+    def test_blocks_and_turns_match_the_product_forms(self, case):
+        # the blocks, their real frames and the quarter-turn maps that are
+        # assembled on the orbits, against P^dag H P, U^dag P^dag H P U and
+        # P_t^dag S P built from the full-space projectors
+        geom, alpha, N, params = case
+        basis, H = torus_hamiltonian(*case)
+        scale = max(spla.norm(H, ord=np.inf), 1.0)
+        sec = manybody._Sectors(basis, geom, alpha)
+        H_reps = H[:, sec.reps].T
+        blocks = {}
+        for n in range(len(sec.labels)):
+            if not sec.ok[n].any():
+                continue
+            P = projector(sec, n)
+            w = np.random.default_rng(n).standard_normal(P.shape[1])
+            lifted = np.empty(basis.size, dtype=complex)
+            sec._lift(n, w, out=lifted)
+            np.testing.assert_allclose(lifted, P @ w, rtol=0, atol=1e-12)
+            ref = (P.conj().T @ H @ P).toarray()
+            block = sec._block(H_reps, n)
+            for step in (block.step, 1, 5):
+                got = manybody._Block(block.rows, block.size, step,
+                                      block.entries)._matrix()
+                np.testing.assert_allclose(got.toarray(), ref, rtol=0,
+                                           atol=1e-12 * scale)
+            np.testing.assert_allclose(block._apply(np.eye(block.size)), ref,
+                                       rtol=0, atol=1e-12 * scale)
+            frame = sec._frame(n)
+            if frame is not None:
+                U = real_frame(*frame)
+                H_r = real_frame_matrix(block, *frame)
+                np.testing.assert_allclose(
+                    H_r.toarray(), (U.conj().T @ ref @ U).real, rtol=0,
+                    atol=1e-12 * scale)
+            blocks[n] = P
+        if geom.Lx != geom.Ly or (alpha * geom.n_sites).denominator != 1:
+            return
+        S = fock_turn(basis, geom, alpha)
+        for n, (kx, ky) in enumerate(sec.labels):
+            t = sec.labels.index(((-ky) % sec.n_orbits, kx))
+            if n in blocks and t in blocks:
+                Q = sec._turn(n, t)
+                assert np.diff(Q.tocsc().indptr).max() <= sec.m
+                ref = blocks[t].conj().T @ S @ blocks[n]
+                np.testing.assert_allclose(Q.toarray(), ref.toarray(),
+                                           rtol=0, atol=1e-12)
+
     def test_a_broken_turn_is_refused(self, monkeypatch):
         # 4x4, alpha = 1/4, N = 2: the turn pairs (0, 1) with (1, 0); with
         # one mode's phase flipped it no longer maps one block onto the
@@ -753,11 +899,10 @@ class TestSectorEigenstates:
         H_t = (S @ H_b @ S.conj().T).tocsr()
         E, W = np.linalg.eigh(H_b.toarray())
         E, W = E[:3], W[:, :3]
-        eye = sp.identity(dim, dtype=complex, format="csr")
 
         def turned(H_t, m):
-            return _turned_eigenvectors(eye, H_b.__matmul__, eye,
-                                        H_t.__matmul__, (image, factor), m,
+            # the map Q = P_t^dag S P is S itself
+            return _turned_eigenvectors(S, as_block(H_b), as_block(H_t), m,
                                         W, E, _inf_norm(H_b))
 
         W_t = turned(H_t, 1)
