@@ -98,6 +98,14 @@ def build_fock_basis(M: int, N: int) -> FockBasis:
     return FockBasis(M=M, N=N, modes=modes)
 
 
+# what one chunk of a pass reads: CHUNK stored entries, of the Fock lift
+# for `second_quantize` and of H[:, reps] for a block, or 1/64 of the whole
+# where that is more, so that small problems keep their temporaries small
+# and large ones pay the cost of a chunk 64 times a pass; CHUNK basis
+# states for a lift of a block vector
+CHUNK = 1 << 13
+
+
 def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
                     sources=None) -> sp.csc_matrix:
     """Lift a one-body mode matrix to the N-boson Fock space, on the
@@ -107,35 +115,60 @@ def second_quantize(one_body: sp.spmatrix, basis: FockBasis,
     Every stored entry t_rm, the diagonal included, is a hop m -> r with
     amplitude t_rm sqrt(n_m n'_r), n'_r the occupation of r after the move
     (t_mm n_m for r = m); duplicate entries add up.
+
+    The CSC is written in place.  One pass over the slots counts the
+    stored entries of each source column, and their running sum is indptr;
+    data and indices are allocated once and filled a chunk of sources at a
+    time (CHUNK stored entries, or 1/64 of them), each entry at its final
+    position.  A column holds its entries in slot order, each slot's in the
+    stored order of the one-body column, and sum_duplicates adds up the
+    duplicates (diagonal hops from several slots, duplicate one-body
+    entries) in that order.  So the lift holds the arrays it returns, 20
+    bytes per stored entry with int32 indices, and one chunk besides.
     """
     ob = sp.csc_matrix(one_body)
     if ob.shape != (basis.M, basis.M):
         raise ValueError("one-body matrix dimension does not match mode count")
     modes = basis.modes if sources is None else basis.modes[sources]
-    # N = 0 lifts to H = 0; complex, so the CSC takes the values uncopied
-    empty = np.zeros(0, dtype=np.int32)
-    parts = [(np.zeros(0, dtype=complex), empty, empty)]
-    for p in range(basis.N):
-        m = modes[:, p]
+    n, per_mode = len(modes), np.diff(ob.indptr)
+
+    def first(modes, p):
         # hop each occupied mode once: from the first slot of its run
-        first = (m != modes[:, p - 1]) if p else np.ones(len(m), dtype=bool)
-        n_m = np.sum(modes == m[:, None], axis=1)
-        src = np.flatnonzero(first).astype(np.int32)
-        # every stored entry t_rm of column m, the diagonal included
-        cnt = np.diff(ob.indptr)[m[src]]
-        k = _ragged_arange(ob.indptr[m[src]], cnt)
-        src = np.repeat(src, cnt)
-        r, new = ob.indices[k], modes[src]
-        new[:, p] = r
-        n_r = np.sum(new == r[:, None], axis=1)  # after the move
-        parts.append((ob.data[k] * np.sqrt(n_m[src] * n_r),
-                      basis.index(new).astype(np.int32), src))
-    vals, rows, cols = map(np.concatenate, zip(*parts))
-    del parts  # one copy of the triplets while the CSC is built
-    # summed column by column, so that each column adds its terms in the
-    # same order whatever the other sources
-    return sp.csc_matrix((vals, (rows, cols)),
-                         shape=(basis.size, len(modes)), dtype=complex)
+        return (modes[:, p] != modes[:, p - 1] if p
+                else np.ones(len(modes), dtype=bool))
+
+    count = np.zeros(n, dtype=np.int64)
+    for p in range(basis.N):
+        count += first(modes, p) * per_mode[modes[:, p]]
+    nnz = int(count.sum())
+    # one index dtype for both, so the CSC takes the arrays uncopied
+    idx = np.int32 if max(nnz, basis.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(count, out=indptr[1:])
+    del count
+    data, indices = np.empty(nnz, dtype=complex), np.empty(nnz, dtype=idx)
+    step = max(1, CHUNK * n // max(nnz, 1), n // 64)
+    for lo in range(0, n, step):
+        chunk = modes[lo:lo + step]
+        end = indptr[lo:lo + step].copy()  # where each source writes next
+        for p in range(basis.N):
+            m = chunk[:, p]
+            n_m = np.sum(chunk == m[:, None], axis=1)
+            src = np.flatnonzero(first(chunk, p))
+            # every stored entry t_rm of column m, the diagonal included
+            cnt = per_mode[m[src]]
+            k = _ragged_arange(ob.indptr[m[src]], cnt)
+            at = _ragged_arange(end[src], cnt)
+            end[src] += cnt
+            src = np.repeat(src, cnt)
+            r, new = ob.indices[k], chunk[src]
+            new[:, p] = r
+            n_r = np.sum(new == r[:, None], axis=1)  # after the move
+            data[at] = ob.data[k] * np.sqrt(n_m[src] * n_r)
+            indices[at] = basis.index(new)
+    H = sp.csc_matrix((data, indices, indptr), shape=(basis.size, n))
+    H.sum_duplicates()
+    return H
 
 
 def build_manybody_hamiltonian(
@@ -330,13 +363,6 @@ def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
     basis state i goes to factor[i] times state image[i]."""
     return (basis.permute(perm).astype(np.int32),
             np.exp(1j * np.asarray(phase)[basis.modes].sum(axis=1)))
-
-
-# what one chunk of a pass reads: CHUNK stored entries of H[:, reps] for a
-# block, or 1/64 of the block where that is more, so that small blocks keep
-# their temporaries small and large ones pay the cost of a chunk 64 times a
-# pass; CHUNK basis states for a lift
-CHUNK = 1 << 13
 
 
 def _stack(pieces, cols: int, bound: int, dtype) -> sp.csr_matrix:
@@ -737,8 +763,9 @@ def sector_eigenstates(
     block-sized.  The returned vectors are lifted one at a time from the
     tables, their T_y images through T_y applied to the representatives
     (`_Sectors._lift`).  Across blocks only the block eigenvectors W are
-    kept.  The full-basis images of T_x and Y live only through the orbit
-    walk.
+    kept, and after each solve only their columns at or below the count-th
+    lowest copy found so far, the only ones that can still be returned.
+    The full-basis images of T_x and Y live only through the orbit walk.
     """
     dim = basis.size
     if not 1 <= count <= dim:
@@ -768,22 +795,33 @@ def sector_eigenstates(
     for n, (kx, ky) in enumerate(labels):
         size = int(sec.ok[n].sum())
         if Ws[n] is None:  # else R gave it from the block origin[n]
-            E, W = np.zeros(0), np.zeros((size, 0))
+            # no local names W or E: the cut below frees what it drops
+            Es[n], Ws[n] = np.zeros(0), np.zeros((size, 0))
             if size:
                 block = sec._block(H_reps, n)
                 k = min(levels, size)
                 frame = sec._frame(n)
-                solved = frame and _real_frame_eigenstates(block, *frame, k)
-                E, W = solved or lowest_eigenstates(block._matrix(), k)
-                _check_residual(block._apply(W) - W * E, norm)
+                Es[n], Ws[n] = (frame and _real_frame_eigenstates(block, *frame, k)
+                                or lowest_eigenstates(block._matrix(), k))
+                _check_residual(block._apply(Ws[n]) - Ws[n] * Es[n], norm)
                 p = partner[n]
                 if p > n and sec.ok[p].sum() == size:
-                    W_p = _turned_eigenvectors(sec._turn(n, p), block,
-                                               sec._block(H_reps, p), m,
-                                               W, E, norm)
-                    if W_p is not None:
-                        Ws[p], Es[p], origin[p] = W_p, E, n
-            Ws[n], Es[n] = W, E
+                    Ws[p] = _turned_eigenvectors(sec._turn(n, p), block,
+                                                 sec._block(H_reps, p), m,
+                                                 Ws[n], Es[n], norm)
+                    if Ws[p] is not None:
+                        Es[p], origin[p] = Es[n], n
+        # a level above the count-th lowest copy found so far (each level
+        # counted m times) is never returned: keep each W up to there, E
+        # ascending, as a copy that frees the rest; Es stay whole
+        found = np.sort(np.concatenate([e for e in Es if e is not None]))
+        if (count - 1) // m < found.size:
+            top = found[(count - 1) // m]
+            for q in range(len(Ws)):
+                if Ws[q] is not None:
+                    keep = np.searchsorted(Es[q], top, side="right")
+                    if keep < Ws[q].shape[1]:
+                        Ws[q] = Ws[q][:, :keep].copy()
         E = Es[n]
         for j in range(m):
             E_all.append(E)

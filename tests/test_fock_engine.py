@@ -6,9 +6,11 @@ basis state; the first-quantized product-space route that one-body
 unitaries such as the magnetic translations took before `FockBasis.permute`;
 the product-space form of the internal-state diagnostics that
 `motional_density_matrix`, `purity` and `subspace_overlap` replaced;
-ARPACK's `eigsh`, the sparse eigensolver that `_lanczos` replaced; and the
+ARPACK's `eigsh`, the sparse eigensolver that `_lanczos` replaced; the
 Lanczos step that orthogonalized the raw product H q_j against the whole
-basis, which the three-term recurrence replaced.
+basis, which the three-term recurrence replaced; and the lift that gathered
+(value, row, column) triplets and handed them to scipy's COO -> CSC
+conversion, which writing the CSC in place replaced.
 """
 
 import math
@@ -73,6 +75,31 @@ def reference_second_quantize(one_body, M, N):
     H = sp.coo_matrix((vals_out, (rows_out, cols_out)),
                       shape=(len(states), len(states)), dtype=complex)
     return H.tocsr()
+
+
+def triplet_second_quantize(one_body, basis, sources=None):
+    """`second_quantize` as one copy of its triplets, slot after slot,
+    summed by scipy's COO -> CSC conversion."""
+    ob = sp.csc_matrix(one_body)
+    modes = basis.modes if sources is None else basis.modes[sources]
+    empty = np.zeros(0, dtype=np.int32)
+    parts = [(np.zeros(0, dtype=complex), empty, empty)]
+    for p in range(basis.N):
+        m = modes[:, p]
+        first = (m != modes[:, p - 1]) if p else np.ones(len(m), dtype=bool)
+        n_m = np.sum(modes == m[:, None], axis=1)
+        src = np.flatnonzero(first).astype(np.int32)
+        cnt = np.diff(ob.indptr)[m[src]]
+        k = manybody._ragged_arange(ob.indptr[m[src]], cnt)
+        src = np.repeat(src, cnt)
+        r, new = ob.indices[k], modes[src]
+        new[:, p] = r
+        n_r = np.sum(new == r[:, None], axis=1)
+        parts.append((ob.data[k] * np.sqrt(n_m[src] * n_r),
+                      basis.index(new).astype(np.int32), src))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    return sp.csc_matrix((vals, (rows, cols)),
+                         shape=(basis.size, len(modes)), dtype=complex)
 
 
 def reference_interaction(M, N, U):
@@ -286,6 +313,41 @@ def test_second_quantize_matches_loop(one_body, N):
     parts = 1 if one_body.has_canonical_format else 2
     assert_same_csr(new, reference_second_quantize(one_body, M, N),
                     parts * N)
+
+
+@st.composite
+def one_body_entries(draw):
+    """A CSC one-body matrix from random entries, diagonal ones included,
+    that may repeat a position and are stored in drawn order within each
+    column; canonical after sum_duplicates, or left as drawn."""
+    M = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nnz = draw(st.integers(0, 2 * M * M))
+    cols = np.sort(rng.integers(0, M, nnz))
+    vals = rng.normal(size=nnz)
+    if draw(st.booleans()):
+        vals = vals + 1j * rng.normal(size=nnz)
+    ob = sp.csc_matrix((vals, rng.integers(0, M, nnz),
+                        np.searchsorted(cols, np.arange(M + 1))), shape=(M, M))
+    if draw(st.booleans()):
+        ob.sum_duplicates()
+    return ob
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_body=st.one_of(sparse_hermitian(), one_body_entries()),
+       N=st.integers(0, 4), data=st.data())
+def test_second_quantize_matches_the_triplet_lift(one_body, N, data):
+    basis = build_fock_basis(one_body.shape[0], N)
+    sources = data.draw(st.none() | st.lists(
+        st.integers(0, basis.size - 1), max_size=basis.size + 2).map(
+            lambda idx: np.array(idx, dtype=int)))
+    got = second_quantize(one_body, basis, sources)
+    ref = triplet_second_quantize(one_body, basis, sources)
+    assert got.shape == ref.shape
+    assert got.data.dtype == ref.data.dtype == complex
+    for name in ("data", "indices", "indptr"):  # bit for bit
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("N, diagonal", [(1, [3, 5]), (2, [6, 8, 10])])

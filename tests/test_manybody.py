@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -688,6 +689,44 @@ class TestSectorEigenstates:
             tracemalloc.stop()
         assert peak / basis.size < 200
 
+    @pytest.mark.parametrize("case, count", [
+        ((torus(6, 6), Fraction(1, 18), 2), 3),  # m = 1, a turned partner
+        ((torus(6, 4), Fraction(1, 4), 3), 4),  # m = 2
+    ])
+    def test_only_returnable_block_vectors_are_kept(self, monkeypatch, case,
+                                                    count):
+        # at the lift, every block-vector array still alive holds only levels
+        # at or below the count-th lowest copy, the highest returned energy:
+        # the rest were cut off as they became unreachable
+        basis, H = torus_hamiltonian(*case, ModelParams(J=1.0, omega=10.0,
+                                                        U=10.0))
+        made, at_lift = [], []
+        lift = manybody._Sectors._lift
+
+        def recording(solve):
+            def solved(*args):
+                out = solve(*args)
+                if out is not None:  # (E, W), or the turned W
+                    E, W = (args[-2], out) if isinstance(out, np.ndarray) else out
+                    made.append((weakref.ref(W), E))
+                return out
+            return solved
+
+        def lifting(sec, *args):
+            if not at_lift:
+                at_lift.append([E for ref, E in made if ref() is not None])
+            return lift(sec, *args)
+
+        for name in ("lowest_eigenstates", "_real_frame_eigenstates",
+                     "_turned_eigenvectors"):
+            monkeypatch.setattr(manybody, name,
+                                recording(getattr(manybody, name)))
+        monkeypatch.setattr(manybody._Sectors, "_lift", lifting)
+        E, *_ = sector_eigenstates(columns_of(H), basis, *case[:2], count)
+        alive = at_lift[0]
+        assert len(alive) < len(made)  # some were cut
+        assert all(e.max() <= E.max() for e in alive)
+
     # counts that end on a whole multiplet
     @pytest.mark.parametrize("case, count, calls", [
         ((torus(6, 6), Fraction(1, 18), 2), 3, 1),  # m = 1: the walk only
@@ -1111,10 +1150,10 @@ class TestDiagnostics:
 
     def test_dark_mode_lift_peak_per_stored_entry(self):
         # one a^dag b hop per site over the 123,410 states of 20 sites and
-        # N = 4: the lift holds one copy of its triplets and then the CSC it
-        # returns, about 71 bytes per stored entry at its peak; keeping the
-        # per-slot pieces beside their concatenation and converting to CSR
-        # reads 104
+        # N = 4: the lift writes the CSC it returns in place, 20 bytes per
+        # stored entry, beside its per-source counts and one chunk, and
+        # peaks at about 24; one copy of the triplets and then scipy's
+        # COO -> CSC copy peak at about 71
         basis = build_fock_basis(40, 4)
         a = np.arange(20)
         hop = sp.csr_matrix((np.ones(20), (a, a + 20)), shape=(40, 40))
@@ -1124,7 +1163,7 @@ class TestDiagnostics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 88 * A.nnz
+        assert peak < 50 * A.nnz
 
     def test_reference_instance_values(self):
         geom, links, params = reference_setup()
