@@ -351,18 +351,12 @@ def lowest_eigenstates(H: sp.csr_matrix,
     return E, np.linalg.qr(V)[0]
 
 
-def _both_species(perm: np.ndarray, phase: np.ndarray):
-    """A site map with a phase per site as the same mode map on both
-    species, (perm, phase) over the 2 ns modes."""
+def _both_species(perm: np.ndarray, phase=0.0):
+    """A site map with a phase per site (0 if not given) as the same mode
+    map on both species, (perm, phase) over the 2 ns modes."""
     ns = len(perm)
+    phase = np.broadcast_to(phase, ns)
     return np.concatenate([perm, perm + ns]), np.concatenate([phase, phase])
-
-
-def _fock_map(basis: FockBasis, perm: np.ndarray, phase: np.ndarray):
-    """A mode map m -> perm[m] with a phase per mode, as (image, factor):
-    basis state i goes to factor[i] times state image[i]."""
-    return (basis.permute(perm).astype(np.int32),
-            np.exp(1j * np.asarray(phase)[basis.modes].sum(axis=1)))
 
 
 def _stack(pieces, cols: int, bound: int, dtype) -> sp.csr_matrix:
@@ -439,11 +433,12 @@ class _Sectors:
         self.labels = [(kx, ky) for kx in range(n_orbits)
                        for ky in range(order_y)]
 
-        x_perm = magnetic_translation_x(geom, alpha, s)
-        self.x_modes = np.concatenate([x_perm, x_perm + geom.n_sites])
+        self.x_modes, _ = _both_species(magnetic_translation_x(geom, alpha, s))
         tx = basis.permute(self.x_modes).astype(np.int32)
-        y, y_phase = _fock_map(basis, *_both_species(
-            *magnetic_translation_y(geom, alpha, b * m)))
+        y_modes, y_phase = _both_species(
+            *magnetic_translation_y(geom, alpha, b * m))
+        y = basis.permute(y_modes).astype(np.int32)
+        y_phase = np.exp(1j * y_phase[basis.modes].sum(axis=1))
 
         def walk(start, ph_c=None):
             # T_x^a Y^c on the states `start`, for every (a, c): (a, c,
@@ -484,11 +479,6 @@ class _Sectors:
                 ok &= ~fixed | (np.abs(ph - chi[g]) < 1e-8)
         del tx, y, y_phase, seen
         self.length = np.bincount(self.orbit)  # orbit sizes
-        # the image of each representative under the mirror M of both species
-        site = np.arange(geom.n_sites)
-        mx = (-(site // geom.Ly) % geom.Lx) * geom.Ly + site % geom.Ly
-        mx = np.concatenate([mx, mx + geom.n_sites])
-        self.mirror = basis.index(mx[basis.modes[reps]])
 
     def _chi(self, kx: int, ky: int) -> np.ndarray:
         """The eigenvalue of each group element g = a * order_y + c on the
@@ -496,32 +486,39 @@ class _Sectors:
         a, c = np.divmod(np.arange(self.order * self.order_y), self.order_y)
         return np.exp(2j * np.pi * (kx * a / self.order + ky * c / self.order_y))
 
-    def _lift(self, n: int, w: np.ndarray, out: np.ndarray, j: int = 0,
-              y_map=None):
+    def _image(self, modes: np.ndarray, phi, kx: int, ky: int):
+        """(orbit[y], amp) for the states exp(i phi) |y>, y those whose mode
+        lists are the rows of `modes`: as g_of[y] |rep> = ph_of[y] |y>, the
+        part of exp(i phi) |y> in the sector (kx, ky) is amp = exp(i phi)
+        conj(ph_of[y]) chi(g_of[y]) times that of its representative."""
+        y = self.basis.index(modes)
+        return self.orbit[y], (np.exp(1j * phi) * self.ph_of[y].conj()
+                               * self._chi(kx, ky)[self.g_of[y]])
+
+    def _lift(self, n: int, w: np.ndarray, out: np.ndarray, j: int = 0):
         """out = T_y^j P w for an orbit-basis vector w of the sector
         labels[n] = (kx, ky), P the isometry from its orbit basis to the
         full space that maps orbit r to sum_g conj(chi(g)) g|rep> / sqrt(L)
-        over the L states of the orbit; y_map = (perm, phase) is T_y on the
-        modes, needed for j > 0.
-        T_y^j maps the orbit of rep, T_y^j |rep> = phi |y>, onto the orbit
-        of y and the sector onto (kx + j shift, ky), whose vector there it
-        gives times phi conj(ph_of[y]) chi'(g_of[y]), chi' that sector's
-        characters.  So state i takes conj(chi'(g_of[i])) ph_of[i] /
-        sqrt(L) times that weight at its orbit, or 0 where the sector does
-        not exist on it; CHUNK states at a time, so that neither P nor a
-        full-basis map of T_y is formed."""
-        kx, ky = self.labels[n]
-        kept = np.flatnonzero(self.ok[n])
-        modes, phi = self.basis.modes[self.reps[kept]], 0.0
-        for _ in range(j):
-            phi = phi + y_map[1][modes].sum(axis=1)
-            modes = y_map[0][modes]
-        y = self.basis.index(modes)
-        chi = self._chi((kx + j * self.shift) % self.order, ky)
+        over the L states of the orbit.
+        T_y^j, the one y shift by j b sites (its phase 2 pi alpha x (k' - k)
+        per particle telescopes to that of j shifts by b), maps the orbit of
+        rep onto one of the same length and the sector onto (kx + j shift,
+        ky), with the weight at each orbit that `_image` gives.  State i
+        takes conj(chi'(g_of[i])) ph_of[i] / sqrt(L) times the weight at
+        its orbit (0 where the sector does not exist), chi' the image
+        sector's characters; CHUNK states at a time, so that neither P nor
+        a full-basis map of T_y is formed."""
+        kx = (self.labels[n][0] + j * self.shift) % self.order
+        ky = self.labels[n][1]
+        modes, phi = self.basis.modes[self.reps[self.ok[n]]], 0.0
+        if j:
+            perm, phase = _both_species(*magnetic_translation_y(
+                self.geom, self.alpha, j * self.b))
+            modes, phi = perm[modes], phase[modes].sum(axis=1)
+        o, amp = self._image(modes, phi, kx, ky)
         weight = np.zeros(self.reps.size, dtype=complex)
-        weight[self.orbit[y]] = (w * np.exp(1j * phi) * self.ph_of[y].conj()
-                                 * chi[self.g_of[y]])
-        chi, dim = chi.conj(), self.basis.size
+        weight[o] = w * amp
+        chi, dim = self._chi(kx, ky).conj(), self.basis.size
         for lo in range(0, dim, CHUNK):
             i = slice(lo, min(lo + CHUNK, dim))
             o = self.orbit[i]
@@ -569,16 +566,18 @@ class _Sectors:
     def _frame(self, n: int):
         """(pi, s) of the antiunitary Theta = K M on the orbit basis of the
         sector labels[n], when it maps that sector onto itself: the orbit of
-        representative r goes to the orbit pi(r) of x = M r, with the phase
-        s_r = chi(x) / (phase of x from its representative).  None
-        otherwise."""
-        kept = np.flatnonzero(self.ok[n])
-        x = self.mirror[kept]
-        if (2 * self.labels[n][1] % self.order_y
-                or not self.ok[n][self.orbit[x]].all()):
+        representative r goes to the orbit pi(r) of M r, with the phase s_r
+        that `_image` gives it (M carries no phase).  None otherwise."""
+        if 2 * self.labels[n][1] % self.order_y:
             return None
-        return (np.searchsorted(kept, self.orbit[x]),
-                self._chi(*self.labels[n])[self.g_of[x]] / self.ph_of[x])
+        kept = np.flatnonzero(self.ok[n])
+        j, k = np.divmod(np.arange(self.geom.n_sites), self.geom.Ly)
+        mirror, _ = _both_species((-j % self.geom.Lx) * self.geom.Ly + k)
+        o, s = self._image(mirror[self.basis.modes[self.reps[kept]]], 0.0,
+                           *self.labels[n])
+        if not self.ok[n][o].all():
+            return None
+        return np.searchsorted(kept, o), s
 
     def _turn(self, n: int, t: int) -> sp.csr_matrix:
         """Q = P_t^dag S P from the sector labels[n] to labels[t], S the
@@ -593,17 +592,15 @@ class _Sectors:
         kept = np.flatnonzero(self.ok[n])
         ok_t = self.ok[t]
         column_t = np.cumsum(ok_t) - 1
-        chi_n, chi_t = self._chi(*self.labels[n]), self._chi(*self.labels[t])
+        chi_n = self._chi(*self.labels[n])
         modes = self.basis.modes[self.reps[kept]]
         rows, cols, vals = [], [], []
         for j in range(self.m):
-            y = self.basis.index(perm[modes])
-            o = self.orbit[y]
+            o, amp = self._image(perm[modes], phase[modes].sum(axis=1),
+                                 *self.labels[t])
             keep = ok_t[o]
             val = (np.sqrt(self.length[kept] / self.length[o]) / self.m
-                   * np.exp(1j * phase[modes].sum(axis=1))
-                   * self.ph_of[y].conj() * chi_t[self.g_of[y]]
-                   * chi_n[j * self.order_y].conj())
+                   * amp * chi_n[j * self.order_y].conj())
             rows.append(column_t[o[keep]])
             cols.append(np.flatnonzero(keep))
             vals.append(val[keep])
@@ -761,8 +758,9 @@ def sector_eigenstates(
     by chunk for each residual and for the turned check, so that at a
     solve only H[:, reps], the block being solved and its Krylov basis are
     block-sized.  The returned vectors are lifted one at a time from the
-    tables, their T_y images through T_y applied to the representatives
-    (`_Sectors._lift`).  Across blocks only the block eigenvectors W are
+    tables (`_Sectors._lift`), a T_y^j image through the one shift by j b
+    on the representatives and the image rule (`_Sectors._image`) that the
+    real frame and the turn share.  Across blocks only the block eigenvectors W are
     kept, and after each solve only their columns at or below the count-th
     lowest copy found so far, the only ones that can still be returned.
     The full-basis images of T_x and Y live only through the orbit walk.
@@ -846,13 +844,11 @@ def sector_eigenstates(
             stacklevel=2)
     src = src[pick]
 
-    # lift only the chosen vectors, T_y^j P W; m = 1 has no image
-    y_map = (_both_species(*magnetic_translation_y(geom, alpha, sec.b))
-             if m > 1 else None)
-    # one returned vector per row, so that each is lifted in place
+    # lift only the chosen vectors, T_y^j P W, one per row, so that each
+    # is lifted in place
     V = np.empty((count, dim), dtype=complex)
     for v, (n, j, i) in zip(V, src.tolist()):
-        sec._lift(n, Ws[n][:, i], v, j, y_map)
+        sec._lift(n, Ws[n][:, i], v, j)
     return E_all[pick], V.T, label_all[pick]
 
 

@@ -316,7 +316,6 @@ class TestInvariants:
         geom = LatticeGeometry(8, 8)
         wm, mf = wannier(), ModeFunction(w=0.5)
         T_full = overlap_matrix(geom, wm, mf, drop_tol=0.0)
-        T_cut = overlap_matrix(geom, wm, mf, drop_tol=0.0)
         # drop entries beyond 3 r0 by hand
         xs = np.array([(j, k) for j in range(8) for k in range(8)], dtype=float)
         d2 = ((xs[:, None] - xs[None, :]) ** 2).sum(axis=2)

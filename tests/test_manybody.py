@@ -727,16 +727,20 @@ class TestSectorEigenstates:
         assert len(alive) < len(made)  # some were cut
         assert all(e.max() <= E.max() for e in alive)
 
-    # counts that end on a whole multiplet
+    # counts that end on a whole multiplet: T_y is built once in the orbit
+    # walk, then once for each returned vector that is a T_y^j image with
+    # j > 0, count (m - 1) / m of them
     @pytest.mark.parametrize("case, count, calls", [
         ((torus(6, 6), Fraction(1, 18), 2), 3, 1),  # m = 1: the walk only
-        ((torus(6, 4), Fraction(1, 4), 3), 2, 2),  # m = 2: and at the lift
+        ((torus(6, 4), Fraction(1, 4), 3), 2, 2),  # m = 2: and one image
+        ((torus(6, 4), Fraction(1, 4), 3), 4, 3),  # m = 2: and two images
     ])
     def test_y_translation_is_built_only_for_an_image(self, monkeypatch,
                                                       case, count, calls):
         basis, H = torus_hamiltonian(*case, ModelParams(J=1.0, omega=10.0,
                                                         U=10.0))
-        assert translation_group(*case)[4] == calls
+        m = translation_group(*case)[4]
+        assert calls == 1 + count * (m - 1) // m
         built = []
 
         def recording(*args):
@@ -853,14 +857,22 @@ class TestSectorEigenstates:
     # m = 1 on a square torus with sixteen sectors
     @example(case=(torus(4, 4), Fraction(1, 2), 2, ModelParams(
         J=0.8, omega=1.0, U=2.0, J2=0.3)))
+    # m = 4 and m = 3: the lift reaches T_y^3 and T_y^2
+    @example(case=(torus(4, 4), Fraction(1, 4), 1, ModelParams(
+        J=1.0, omega=10.0, U=10.0)))
+    @example(case=(torus(3, 3), Fraction(1, 3), 2, ModelParams(
+        J=1.0, omega=2.0, U=3.0, J2=0.2)))
     def test_blocks_and_turns_match_the_product_forms(self, case):
-        # the blocks, their real frames and the quarter-turn maps that are
-        # assembled on the orbits, against P^dag H P, U^dag P^dag H P U and
-        # P_t^dag S P built from the full-space projectors
+        # the lifts with their T_y images, the blocks, their real frames and
+        # the quarter-turn maps that are assembled on the orbits, against
+        # T_y^j P, P^dag H P, U^dag P^dag H P U and P_t^dag S P built from
+        # the full-space projectors
         geom, alpha, N, params = case
         basis, H = torus_hamiltonian(*case)
         scale = max(spla.norm(H, ord=np.inf), 1.0)
         sec = manybody._Sectors(basis, geom, alpha)
+        T_y = fock_translation(basis, geom,
+                               *magnetic_translation_y(geom, alpha, sec.b))
         H_reps = H[:, sec.reps].T
         blocks = {}
         for n in range(len(sec.labels)):
@@ -868,9 +880,12 @@ class TestSectorEigenstates:
                 continue
             P = projector(sec, n)
             w = np.random.default_rng(n).standard_normal(P.shape[1])
-            lifted = np.empty(basis.size, dtype=complex)
-            sec._lift(n, w, out=lifted)
-            np.testing.assert_allclose(lifted, P @ w, rtol=0, atol=1e-12)
+            image = P @ w
+            for j in range(sec.m):
+                lifted = np.empty(basis.size, dtype=complex)
+                sec._lift(n, w, lifted, j)
+                np.testing.assert_allclose(lifted, image, rtol=0, atol=1e-12)
+                image = T_y @ image
             ref = (P.conj().T @ H @ P).toarray()
             block = sec._block(H_reps, n)
             for step in (block.step, 1, 5):
